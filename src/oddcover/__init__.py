@@ -17,7 +17,6 @@ from .core import (
     lower_bound,
     max_subgraph_density,
     verify_cover,
-    xor_edges,
 )
 from .cycles import (
     balanced_orientation,
@@ -77,7 +76,6 @@ from .twopaths import (
     TwoPaths,
     choose_integrable_pair,
     cover_cycles,
-    cover_cycles_with_endpoint,
     integrate_four_edges,
     integrate_one_edge,
     integrate_two_edges,

@@ -5,8 +5,9 @@ Solver verbs read a graph (edge-list by default, graph6 with --format),
 re-verify their own witness before printing it as JSON with a bounds
 object, and exit 3 if the self-check fails (a bug, not bad input).  Exit
 codes: 0 success, 1 invalid input or failed verification, 2 I/O error,
-3 internal invariant breach.  bench emits one JSON line per instance and
-honors ODDCOVER_THREADS for parallel workers.
+3 internal error (an invariant breach or any other unexpected exception).
+bench emits one JSON line per instance and honors ODDCOVER_THREADS for
+parallel workers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 from .core import (
     Graph,
     InternalInvariantError,
+    degree_bound,
     degree_profile,
     lower_bound,
     verify_cover,
@@ -63,10 +65,9 @@ def _bounds(g: Graph, upper: int, method: str) -> dict:
 
 
 def _emit_cover(args, cover, bounds, extra=None) -> int:
-    report = verify_cover(cover)
-    if not report.valid:
-        raise InternalInvariantError("solver output failed verification")
     doc = witness_json(cover, bounds=bounds, extra=extra)
+    if not doc["valid"]:
+        raise InternalInvariantError("solver output failed verification")
     _write_text(getattr(args, "output", None), json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -74,9 +75,7 @@ def _emit_cover(args, cover, bounds, extra=None) -> int:
 def _cmd_cover(args) -> int:
     g = _load_graph(args)
     cover = path_odd_cover(g)
-    delta, v_odd, _ = degree_profile(g)
-    upper = max(v_odd // 2, 2 * -(-delta // 2))
-    return _emit_cover(args, cover, _bounds(g, upper, "degree-pipeline"))
+    return _emit_cover(args, cover, _bounds(g, degree_bound(g), "degree-pipeline"))
 
 
 def _cmd_cycle_cover(args) -> int:
@@ -90,8 +89,7 @@ def _cmd_cycle_cover(args) -> int:
 def _cmd_top_cover(args) -> int:
     g = _load_graph(args)
     h, cover, chains = topological_cover(g)
-    delta, v_odd, _ = degree_profile(g)
-    k = max(v_odd // 2, -(-delta // 2))
+    k = lower_bound(g)
     extra = {
         "subdivision": {f"{u},{v}": chain for (u, v), chain in sorted(chains.items())},
         "target_edges": [list(e) for e in sorted(h.edges)],
@@ -103,7 +101,6 @@ def _cmd_top_cover(args) -> int:
 def _cmd_iso_cover(args) -> int:
     g = _load_graph(args)
     cover, branch = iso_cover_general(g)
-    delta, v_odd, _ = degree_profile(g)
     bounds = {
         "lower": lower_bound(g) if g.n > 12 else lower_bound(g, with_density=True),
         "upper": cover.count,
@@ -179,8 +176,7 @@ def _bench_instance(job: tuple) -> dict:
         bound = delta
     else:
         cover = path_odd_cover(g)
-        delta, v_odd, _ = degree_profile(g)
-        bound = max(v_odd // 2, 2 * -(-delta // 2))
+        bound = degree_bound(g)
     elapsed = time.perf_counter() - t0
     return {
         "instance": index,
@@ -298,15 +294,16 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, IOError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Anything else (RecursionError, MemoryError, ...) is a bug, not bad input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

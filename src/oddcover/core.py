@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -41,16 +40,6 @@ def edge_index(n: int, u: int, v: int) -> int:
     if v >= n:
         raise ValueError(f"edge ({u},{v}) outside universe of size {n}")
     return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def index_edge(n: int, i: int) -> Edge:
-    """Inverse of edge_index (linear scan; used for diagnostics only)."""
-    for u in range(n - 1):
-        row = n - u - 1
-        if i < row:
-            return (u, u + 1 + i)
-        i -= row
-    raise ValueError("edge index out of range")
 
 
 @dataclass(frozen=True)
@@ -76,21 +65,15 @@ class EdgeVector:
         return cls(n, bits)
 
     def edges(self) -> list[Edge]:
+        """The pairs whose bits are set, in bit order."""
         out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(index_edge(self.n, low.bit_length() - 1))
-            bits ^= low
+        i = 0
+        for u in range(self.n - 1):
+            for v in range(u + 1, self.n):
+                if self.bits >> i & 1:
+                    out.append((u, v))
+                i += 1
         return out
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-
-def xor_edges(a: EdgeVector, b: EdgeVector) -> EdgeVector:
-    """Symmetric difference of two edge sets over the same universe."""
-    return a ^ b
 
 
 class Graph:
@@ -141,9 +124,6 @@ class Graph:
             row.sort()
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -179,26 +159,6 @@ class Graph:
         """All degrees even (the structural prerequisite for cycle covers)."""
         return all(d % 2 == 0 for d in self.degrees())
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists (isolated ones too)."""
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
 
 def path_edges(vertices: Sequence[int]) -> list[Edge]:
     return [norm_edge(vertices[i], vertices[i + 1]) for i in range(len(vertices) - 1)]
@@ -209,23 +169,75 @@ def cycle_edges(vertices: Sequence[int]) -> list[Edge]:
     return [norm_edge(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
 
 
-def check_path(vertices: Sequence[int], n: int | None = None) -> None:
-    """Validate a path: >= 2 distinct vertices, all inside the universe."""
-    if len(vertices) < 2:
-        raise ValueError(f"path needs at least 2 vertices, got {list(vertices)}")
+def check_path(
+    vertices: Sequence[int], n: int | None = None, closed: bool = False
+) -> None:
+    """Validate a path (a cycle when closed): at least 2 (3) distinct
+    vertices, all inside the universe."""
+    kind, least = ("cycle", 3) if closed else ("path", 2)
+    if len(vertices) < least:
+        raise ValueError(f"{kind} needs at least {least} vertices, got {list(vertices)}")
     if len(set(vertices)) != len(vertices):
-        raise ValueError(f"path repeats a vertex: {list(vertices)}")
+        raise ValueError(f"{kind} repeats a vertex: {list(vertices)}")
     if n is not None and any(v < 0 or v >= n for v in vertices):
-        raise ValueError(f"path leaves universe of size {n}: {list(vertices)}")
+        raise ValueError(f"{kind} leaves universe of size {n}: {list(vertices)}")
 
 
-def check_cycle(vertices: Sequence[int], n: int | None = None) -> None:
-    if len(vertices) < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {list(vertices)}")
-    if len(set(vertices)) != len(vertices):
-        raise ValueError(f"cycle repeats a vertex: {list(vertices)}")
-    if n is not None and any(v < 0 or v >= n for v in vertices):
-        raise ValueError(f"cycle leaves universe of size {n}: {list(vertices)}")
+def odd_edges(members: Iterable[Sequence[int]], closed: bool = False) -> set[Edge]:
+    """Edges traversed an odd number of times by the members, read as paths
+    (as cycles when closed): the XOR of their edge sets.
+
+    Parity is toggled edge by edge, so a walk that repeats an edge counts
+    every traversal.
+    """
+    edges_of = cycle_edges if closed else path_edges
+    odd: set[Edge] = set()
+    for vs in members:
+        for e in edges_of(vs):
+            if e in odd:
+                odd.remove(e)
+            else:
+                odd.add(e)
+    return odd
+
+
+def degree2_components(
+    n: int, edges: Iterable[Edge]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(paths, cycles): the components of a graph of maximum degree <= 2.
+
+    Paths start at their smaller end.  Cycles start at their smallest vertex
+    and step first to its smaller neighbour.  Both lists are sorted, and
+    isolated vertices appear in neither.  Raises ValueError at a vertex of
+    degree 3 or more, or at one outside the universe {0, ..., n-1}.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in {norm_edge(u, v) for u, v in edges}:
+        for a, b in ((u, v), (v, u)):
+            if not 0 <= a < n:
+                raise ValueError(f"vertex {a} outside universe of size {n}")
+            row = adj.setdefault(a, [])
+            row.append(b)
+            if len(row) > 2:
+                raise ValueError(f"degree {len(row)} at {a}: maximum degree exceeds 2")
+    seen: set[int] = set()
+
+    def walk(start: int, first: int) -> tuple[int, ...]:
+        out = [start]
+        prev, cur = start, first
+        while cur != start:
+            out.append(cur)
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        seen.update(out)
+        return tuple(out)
+
+    ends = sorted(v for v, row in adj.items() if len(row) == 1)
+    paths = [walk(s, adj[s][0]) for s in ends if s not in seen]
+    cycles = [walk(s, min(adj[s])) for s in sorted(adj) if s not in seen]
+    return sorted(paths), cycles
 
 
 def degree_profile(g: Graph) -> tuple[int, int, list[int]]:
@@ -259,29 +271,27 @@ class VerificationReport:
     xor_ok: bool = False
     missing_edges: list[Edge] = field(default_factory=list)
     excess_edges: list[Edge] = field(default_factory=list)
-    parity: dict[Edge, int] = field(default_factory=dict)
 
 
 def verify_cover(cover: OddCover) -> VerificationReport:
     """Check an odd-cover claim; failures are reported, never raised.
 
-    The XOR test is done with an explicit per-edge parity counter so it is
-    independent of the bitset algebra the solvers use.
+    The XOR test toggles per-edge parity (odd_edges), so it is independent
+    of the bitset algebra the solvers use.
     """
     if cover.kind not in ("path", "cycle"):
         return VerificationReport(valid=False, member_errors=[f"unknown kind {cover.kind!r}"])
+    closed = cover.kind == "cycle"
     errors = []
-    check = check_cycle if cover.kind == "cycle" else check_path
-    parity: Counter[Edge] = Counter()
+    members = []
     for i, vs in enumerate(cover.members):
         try:
-            check(vs, cover.target.n)
+            check_path(vs, cover.target.n, closed)
         except ValueError as exc:
             errors.append(f"member {i}: {exc}")
             continue
-        for e in cover.member_edges(i):
-            parity[e] += 1
-    odd = {e for e, c in parity.items() if c % 2 == 1}
+        members.append(vs)
+    odd = odd_edges(members, closed)
     missing = sorted(cover.target.edges - odd)
     excess = sorted(odd - cover.target.edges)
     xor_ok = not missing and not excess
@@ -291,7 +301,6 @@ def verify_cover(cover: OddCover) -> VerificationReport:
         xor_ok=xor_ok,
         missing_edges=missing,
         excess_edges=excess,
-        parity=dict(parity),
     )
 
 
@@ -338,3 +347,10 @@ def lower_bound(g: Graph, with_density: bool = False) -> int:
     if with_density:
         bound = max(bound, max_subgraph_density(g))
     return bound
+
+
+def degree_bound(g: Graph) -> int:
+    """max{v_odd/2, 2*ceil(delta/2)}: the path count the degree pipeline
+    (path_odd_cover) never exceeds."""
+    delta, v_odd, _ = degree_profile(g)
+    return max(v_odd // 2, 2 * -(-delta // 2))

@@ -13,7 +13,14 @@ each dropping the maximum degree by two.
 
 from __future__ import annotations
 
-from .core import Edge, Graph, InternalInvariantError, degree_profile, norm_edge
+from .core import (
+    Edge,
+    Graph,
+    InternalInvariantError,
+    cycle_edges,
+    degree_profile,
+    norm_edge,
+)
 
 Cycle = tuple[int, ...]
 
@@ -203,7 +210,7 @@ def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
     while current.m:
         layer = max_degree_cycle_cover(current)
         layers.append(layer)
-        drop = [e for cyc in layer for e in _cycle_edge_list(cyc)]
+        drop = [e for cyc in layer for e in cycle_edges(cyc)]
         current = current.remove_edges(drop)
     delta, _, _ = degree_profile(g)
     if len(layers) != delta // 2:
@@ -211,8 +218,3 @@ def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
             f"expected {delta // 2} layers, produced {len(layers)}"
         )
     return layers
-
-
-def _cycle_edge_list(cycle: Cycle) -> list[Edge]:
-    k = len(cycle)
-    return [norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)]

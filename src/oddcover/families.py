@@ -17,8 +17,15 @@ from __future__ import annotations
 
 import random
 
-from .core import Edge, Graph, InternalInvariantError, norm_edge, path_edges
-from .twopaths import Cycle, _cycle_minus_edge, canon_cycle
+from .core import (
+    Edge,
+    Graph,
+    InternalInvariantError,
+    degree2_components,
+    norm_edge,
+    path_edges,
+)
+from .twopaths import Cycle, _cycle_minus_edge
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -91,31 +98,11 @@ def walecki_cycles(k: int) -> list[Cycle]:
             es.add(norm_edge(j, (2 * i + 1 - j) % (2 * k)))
         es.add(norm_edge(i, hub))
         es.add(norm_edge(i + k, hub))
-        cycles.append(_walk_cycle(es, n))
+        paths, cyc = degree2_components(n, es)
+        if paths or len(cyc) != 1:
+            raise InternalInvariantError("cycle edges are not a single cycle")
+        cycles.append(cyc[0])
     return cycles
-
-
-def _walk_cycle(edges: set[Edge], n: int) -> Cycle:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, row in adj.items():
-        if len(row) != 2:
-            raise InternalInvariantError(f"degree {len(row)} at {v} in cycle walk")
-        row.sort()
-    start = min(adj)
-    walk = [start]
-    prev, cur = None, start
-    while True:
-        nxt = next(x for x in adj[cur] if x != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    if len(walk) != len(edges):
-        raise InternalInvariantError("cycle edges are not a single cycle")
-    return canon_cycle(walk)
 
 
 def counterexample(k: int) -> tuple[Graph, list[tuple[int, ...]], list[list[Edge]], dict]:

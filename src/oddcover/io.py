@@ -18,6 +18,7 @@ from .core import Graph, OddCover, verify_cover
 def parse_edge_list(text: str) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -36,8 +37,9 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: vertex outside 0..{n - 1}")
         e = (u, v) if u < v else (v, u)
-        if e in edges:
+        if e in seen:
             raise ValueError(f"line {lineno}: duplicate edge {e}")
+        seen.add(e)
         edges.append(e)
     if n is None:
         raise ValueError("empty input: missing 'n m' header")

@@ -20,6 +20,9 @@ from .core import (
     Graph,
     InternalInvariantError,
     OddCover,
+    cycle_edges,
+    degree2_components,
+    degree_bound,
     degree_profile,
     norm_edge,
     path_edges,
@@ -188,32 +191,15 @@ def cover_eulerian_plus_matching(
 
 def disjoint_cycles_of(g: Graph) -> list[Cycle]:
     """The components of a 2-regular-or-empty graph as cycle tuples."""
-    deg = g.degrees()
-    adj = g.adjacency()
-    out: list[Cycle] = []
-    for comp in g.components():
-        live = [v for v in comp if deg[v]]
-        if not live:
-            continue
-        if any(deg[v] != 2 for v in live):
-            raise ValueError("component is not a cycle")
-        start = live[0]
-        walk = [start]
-        prev, cur = None, start
-        while True:
-            nxt = next(x for x in adj[cur] if x != prev)
-            if nxt == start:
-                break
-            walk.append(nxt)
-            prev, cur = cur, nxt
-        out.append(tuple(walk))
-    return out
+    paths, cycles = degree2_components(g.n, g.edges)
+    if paths:
+        raise ValueError("component is not a cycle")
+    return cycles
 
 
 def path_odd_cover(g: Graph) -> OddCover:
     """Odd-cover with at most max{v_odd/2, 2*ceil(delta/2)} paths."""
-    delta0, v_odd0, _ = degree_profile(g)
-    bound = max(v_odd0 // 2, 2 * -(-delta0 // 2))
+    bound = degree_bound(g)
     members: list[tuple[int, ...]] = []
     cur = g
     delta, v_odd, _ = degree_profile(cur)
@@ -281,19 +267,10 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
     t, d = budget.t, budget.d
 
     if v_odd == 4 and delta <= 2:
-        deg = g.degrees()
-        comps = [c for c in g.components() if any(deg[v] for v in c)]
-        loose = []
-        cyc = []
-        for comp in comps:
-            sub = Graph(g.n, [e for e in g.edges if e[0] in comp])
-            if all(deg[v] % 2 == 0 for v in comp):
-                cyc += disjoint_cycles_of(sub)
-            else:
-                ends = [v for v in comp if deg[v] % 2 == 1]
-                walk = _component_path(g, comp, ends[0])
-                loose.append(walk)
-        tp = _cover_cycles_and_paths(cyc, loose)
+        loose, cyc = degree2_components(g.n, g.edges)
+        # integrate_two_edges is order-sensitive: keep the paths in the
+        # order of their smallest vertex.
+        tp = _cover_cycles_and_paths(cyc, sorted(loose, key=min))
         cover = OddCover(g, [tp.p, tp.q], "path")
         if not verify_cover(cover).valid:
             raise InternalInvariantError("two-path case failed self-check")
@@ -310,14 +287,14 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
     layers = peel_cycle_layers(g2)
     head = layers[:t]
     tail = layers[t:]
-    head_edges = [e for layer in head for c in layer for e in _cyc_edges(c)]
+    head_edges = [e for layer in head for c in layer for e in cycle_edges(c)]
     sub = cover_eulerian_plus_matching(Graph(g.n, head_edges), m)
     members = list(sub.members)
 
     branch = "layer-pairs"
     n_total = g.n
     if tail:
-        tail_edges = [e for layer in tail for c in layer for e in _cyc_edges(c)]
+        tail_edges = [e for layer in tail for c in layer for e in cycle_edges(c)]
         residual = Graph(g.n, tail_edges)
         delta_r, _, _ = degree_profile(residual)
         forests = None
@@ -342,24 +319,6 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
     if not verify_cover(cover).valid or cover.count > 2 * t + d:
         raise InternalInvariantError("isolated-vertex cover failed self-check")
     return cover, branch
-
-
-def _component_path(g: Graph, comp: list[int], start: int) -> tuple[int, ...]:
-    adj = g.adjacency()
-    walk = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        walk.append(cur)
-    return tuple(walk)
-
-
-def _cyc_edges(cycle: Cycle) -> list[Edge]:
-    k = len(cycle)
-    return [norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
 
 
 def cycle_odd_cover(g: Graph) -> OddCover:

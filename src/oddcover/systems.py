@@ -24,7 +24,6 @@ of the same compression produce isolated-vertex covers and cycle covers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,9 +32,11 @@ from .core import (
     Graph,
     InternalInvariantError,
     OddCover,
+    degree2_components,
     degree_profile,
+    lower_bound,
     norm_edge,
-    path_edges,
+    odd_edges,
     verify_cover,
 )
 from .twopaths import TwoPaths
@@ -56,12 +57,7 @@ class PathSystem:
         return sum(len(c) for c in self.collections)
 
     def parity_edges(self) -> set[Edge]:
-        parity: Counter[Edge] = Counter()
-        for coll in self.collections:
-            for p in coll:
-                for e in path_edges(p):
-                    parity[e] += 1
-        return {e for e, c in parity.items() if c % 2 == 1}
+        return odd_edges(p for coll in self.collections for p in coll)
 
 
 def _endpoint_entries(sys: PathSystem) -> dict[int, list[tuple[int, int]]]:
@@ -83,6 +79,7 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
     Also enforces vertex-disjointness within each collection and the
     "appears in no other path" clause for type II endpoints.
     """
+    inner: set[int] = set()  # interior vertices of all paths
     for ci, coll in enumerate(sys.collections):
         if not coll:
             raise ValueError(f"collection {ci} is empty")
@@ -93,10 +90,7 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
             if seen & set(p):
                 raise ValueError(f"collection {ci} paths share vertices")
             seen |= set(p)
-    containment: Counter[int] = Counter()
-    for coll in sys.collections:
-        for p in coll:
-            containment.update(p)
+            inner.update(p[1:-1])
     types: dict[int, str] = {}
     for v, ents in _endpoint_entries(sys).items():
         if len(ents) == 1:
@@ -109,7 +103,7 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
             t2 = _terminal_edge(sys.collections[c2][p2], v)
             if t1 == t2:
                 raise ValueError(f"endpoint {v} has identical terminal edges")
-            if containment[v] != 2:
+            if v in inner:
                 raise ValueError(f"type II endpoint {v} appears inside another path")
             types[v] = "II"
         else:
@@ -359,16 +353,8 @@ def is_exceptional_family(g: Graph) -> bool:
     delta, _, _ = degree_profile(g)
     if delta != 2:
         return False
-    deg = g.degrees()
-    cycles = paths = 0
-    for comp in g.components():
-        if all(deg[v] == 0 for v in comp):
-            continue
-        if all(deg[v] == 2 for v in comp):
-            cycles += 1
-        else:
-            paths += 1
-    return cycles >= 1 and paths <= 1
+    paths, cycles = degree2_components(g.n, g.edges)
+    return len(cycles) >= 1 and len(paths) <= 1
 
 
 def _subdivide3(g: Graph) -> tuple[dict[Edge, list[int]], int]:
@@ -431,66 +417,28 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
 def _classes_to_collections(
     color: dict[Edge, int], k: int, n_total: int
 ) -> list[list[Path]]:
-    adj: list[dict[int, list[int]]] = [dict() for _ in range(k)]
-    for (u, v), c in sorted(color.items()):
-        adj[c].setdefault(u, []).append(v)
-        adj[c].setdefault(v, []).append(u)
+    classes: list[list[Edge]] = [[] for _ in range(k)]
+    for e, c in color.items():
+        classes[c].append(e)
     collections: list[list[Path]] = []
-    for c in range(k):
-        nbrs = adj[c]
-        for v, row in nbrs.items():
-            if len(row) > 2:
-                raise InternalInvariantError(f"color {c} has degree 3 at {v}")
-            row.sort()
-        used: set[Edge] = set()
-        paths: list[Path] = []
-        ends = sorted(v for v, row in nbrs.items() if len(row) == 1)
-        for s in ends:
-            if any(norm_edge(s, w) not in used for w in nbrs[s]):
-                walk = [s]
-                cur = s
-                while True:
-                    nxt = [w for w in nbrs[cur] if norm_edge(cur, w) not in used]
-                    if not nxt:
-                        break
-                    used.add(norm_edge(cur, nxt[0]))
-                    walk.append(nxt[0])
-                    cur = nxt[0]
-                paths.append(tuple(walk))
-        if sum(len(p) - 1 for p in paths) != sum(
-            1 for e, cc in color.items() if cc == c
-        ):
+    for c, edges in enumerate(classes):
+        try:
+            paths, cycles = degree2_components(n_total, edges)
+        except ValueError as exc:
+            raise InternalInvariantError(f"color class {c}: {exc}") from exc
+        if cycles:
             raise InternalInvariantError(f"color class {c} contains a cycle")
         if not paths:
             raise InternalInvariantError(f"color class {c} is empty")
-        collections.append(sorted(paths))
+        collections.append(paths)
     return collections
-
-
-def _extract_single_path(g: Graph) -> Path:
-    deg = g.degrees()
-    start = min(v for v in range(g.n) if deg[v] == 1)
-    adj = g.adjacency()
-    walk = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        walk.append(cur)
-    if len(walk) - 1 != g.m:
-        raise ValueError("graph is not a single path")
-    return tuple(walk)
 
 
 def _reduced_topological_paths(
     g: Graph,
 ) -> tuple[list[Path], dict[Edge, list[int]], dict[Edge, Edge], int]:
     """k reduced paths over a subdivision of g, with the chain map."""
-    delta, v_odd, _ = degree_profile(g)
-    k = max(v_odd // 2, -(-delta // 2))
+    k = lower_bound(g)
     chains, n_total = _subdivide3(g)
     color = _color_tripled_edges(g, chains, k)
     collections = _classes_to_collections(color, k, n_total)
@@ -548,12 +496,14 @@ def topological_cover(
             "graph is a disjoint union of cycles (plus at most one path); "
             "no subdivision meets the degree bound"
         )
-    delta, v_odd, _ = degree_profile(g)
-    k = max(v_odd // 2, -(-delta // 2))
+    k = lower_bound(g)
     if k == 0:
         return g, OddCover(g, [], "path"), {}
     if k == 1:
-        path = _extract_single_path(g)
+        paths, cycles = degree2_components(g.n, g.edges)
+        if len(paths) != 1 or cycles:
+            raise ValueError("graph is not a single path")
+        path = paths[0]
         chains = {e: [e[0], e[1]] for e in sorted(g.edges)}
         return g, OddCover(g, [path], "path"), chains
     paths, chains, _, n_total = _reduced_topological_paths(g)
@@ -571,36 +521,10 @@ def topological_cover(
 
 def linear_forest_components(n: int, edges: Iterable[Edge]) -> list[Path]:
     """Path components of a linear forest; raises if it is not one."""
-    es = {norm_edge(u, v) for u, v in edges}
-    adj: dict[int, list[int]] = {}
-    for u, v in es:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, row in adj.items():
-        if v >= n:
-            raise ValueError(f"vertex {v} outside universe")
-        if len(row) > 2:
-            raise ValueError(f"degree {len(row)} at {v}: not a linear forest")
-        row.sort()
-    comps: list[Path] = []
-    seen: set[int] = set()
-    for s in sorted(adj):
-        if s in seen or len(adj[s]) != 1:
-            continue
-        walk = [s]
-        seen.add(s)
-        prev, cur = None, s
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
-            seen.add(cur)
-        comps.append(tuple(walk))
-    if sum(len(p) - 1 for p in comps) != len(es):
+    paths, cycles = degree2_components(n, edges)
+    if cycles:
         raise ValueError("edge set contains a cycle: not a linear forest")
-    return sorted(comps)
+    return paths
 
 
 def _check_forest_partition(g: Graph, forests: Sequence[Iterable[Edge]]) -> list[list[Path]]:
@@ -646,13 +570,7 @@ def two_path_cover_la2(
         x = pp[0] if pp[0] not in (u, v, w) else pp[-1]
         sys = join(sys, v, x)
     p, q = sys.collections[0][0], sys.collections[1][0]
-    target = set(g.edges)
-    parity: Counter[Edge] = Counter()
-    for e in path_edges(p):
-        parity[e] += 1
-    for e in path_edges(q):
-        parity[e] += 1
-    if {e for e, c in parity.items() if c % 2 == 1} != target:
+    if odd_edges((p, q)) != g.edges:
         raise InternalInvariantError("two-forest compression failed self-check")
     return TwoPaths(p, q)
 
@@ -666,12 +584,7 @@ class ForestState:
     next_vertex: int
 
     def parity_edges(self) -> set[Edge]:
-        parity: Counter[Edge] = Counter()
-        for coll in self.forests:
-            for p in coll:
-                for e in path_edges(p):
-                    parity[e] += 1
-        return {e for e, c in parity.items() if c % 2 == 1}
+        return odd_edges(p for coll in self.forests for p in coll)
 
 
 def _forest_entry(
@@ -801,24 +714,6 @@ def cycle_iso_cover(g: Graph, forests: Sequence[Iterable[Edge]]) -> OddCover:
 # cycle covers of a subdivision
 
 
-def _single_cycle_component(g: Graph) -> Path | None:
-    deg = g.degrees()
-    comps = [c for c in g.components() if any(deg[v] for v in c)]
-    if len(comps) != 1 or any(deg[v] != 2 for v in comps[0]):
-        return None
-    adj = g.adjacency()
-    start = comps[0][0]
-    walk = [start]
-    prev, cur = None, start
-    while True:
-        step = next(x for x in adj[cur] if x != prev)
-        if step == start:
-            break
-        walk.append(step)
-        prev, cur = cur, step
-    return tuple(walk)
-
-
 def cycle_top_cover(
     g: Graph,
 ) -> tuple[Graph, OddCover, dict[Edge, list[int]]]:
@@ -832,15 +727,13 @@ def cycle_top_cover(
     """
     if not g.is_even():
         raise ValueError("cycle covers need all degrees even")
-    deg = g.degrees()
     delta, _, _ = degree_profile(g)
     if delta == 2:
-        comps = [c for c in g.components() if any(deg[v] for v in c)]
-        if len(comps) >= 2:
+        _, cycles = degree2_components(g.n, g.edges)
+        if len(cycles) >= 2:
             raise ValueError("union of two or more disjoint cycles is excluded")
-        cyc = _single_cycle_component(g)
         chains = {e: [e[0], e[1]] for e in sorted(g.edges)}
-        cover = OddCover(g, [cyc], "cycle")
+        cover = OddCover(g, cycles, "cycle")
         if not verify_cover(cover).valid:
             raise InternalInvariantError("single-cycle cover failed self-check")
         return g, cover, chains

@@ -23,11 +23,18 @@ InternalInvariantError is raised.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .core import Edge, InternalInvariantError, check_path, norm_edge, path_edges
+from .core import (
+    Edge,
+    InternalInvariantError,
+    check_path,
+    cycle_edges,
+    norm_edge,
+    odd_edges,
+    path_edges,
+)
 
 Cycle = tuple[int, ...]
 
@@ -78,15 +85,10 @@ def _prepare(cycles: Iterable[Sequence[int]]) -> list[Cycle]:
     return out
 
 
-def _cycle_edges(cycle: Cycle) -> set[Edge]:
-    k = len(cycle)
-    return {norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-
-
 def _all_edges(cycles: Sequence[Cycle]) -> set[Edge]:
     out: set[Edge] = set()
     for c in cycles:
-        out |= _cycle_edges(c)
+        out.update(cycle_edges(c))
     return out
 
 
@@ -97,10 +99,6 @@ def _arcs_between(cycle: Cycle, a: int, b: int) -> tuple[list[int], list[int]]:
     fwd = [cycle[(ia + t) % ell] for t in range((ib - ia) % ell + 1)]
     bwd = [cycle[(ia - t) % ell] for t in range((ia - ib) % ell + 1)]
     return fwd, bwd
-
-
-def _forward_arc(cycle: Cycle, a: int, b: int) -> list[int]:
-    return _arcs_between(cycle, a, b)[0]
 
 
 def _seg(path: Sequence[int], a: int, b: int) -> list[int]:
@@ -132,11 +130,7 @@ def _checked(
             raise InternalInvariantError(
                 f"path strays outside the instance: {sorted(set(vs) - allowed)}"
             )
-    parity: Counter[Edge] = Counter()
-    for vs in paths:
-        for e in path_edges(vs):
-            parity[e] += 1
-    odd = {e for e, c in parity.items() if c % 2 == 1}
+    odd = odd_edges(paths)
     if odd != target:
         raise InternalInvariantError(
             f"two-path XOR mismatch: missing {sorted(target - odd)}, "
@@ -236,18 +230,6 @@ def cover_cycles(cycles: Iterable[Sequence[int]]) -> TwoPaths:
     return _checked(p, q, _all_edges(cs), {v for c in cs for v in c})
 
 
-def cover_cycles_with_endpoint(cycles: Iterable[Sequence[int]], z: int) -> TwoPaths:
-    """As cover_cycles, but both paths end at the prescribed vertex z."""
-    cs = _prepare(cycles)
-    if not cs:
-        raise ValueError("empty cycle set")
-    order = [c for c in cs if z not in c] + [c for c in cs if z in c]
-    if z not in order[-1]:
-        raise ValueError(f"endpoint {z} lies on no cycle")
-    p, q = _thread(order, y_last=z)
-    return _checked(p, q, _all_edges(cs), {v for c in cs for v in c})
-
-
 # ---------------------------------------------------------------------------
 # one-edge integration
 
@@ -335,7 +317,7 @@ def _plus_one(
 
 def _minus_one(cycles: Sequence[Cycle], f: Edge) -> tuple[list[int], list[int]]:
     """Two paths covering E(cycles) minus one cycle edge f."""
-    j = next(i for i, c in enumerate(cycles) if f in _cycle_edges(c))
+    j = next(i for i, c in enumerate(cycles) if f in cycle_edges(c))
     walk = _cycle_minus_edge(cycles[j], f)
     if len(cycles) == 1:
         w = min(walk[1:-1])
@@ -418,7 +400,7 @@ def _demarcation(cyc: Cycle, f1: Edge, f2: Edge) -> tuple[list[int], list[list[i
     """The four endpoints in cyclic order, and the four arcs between them."""
     pos = {v: i for i, v in enumerate(cyc)}
     order = sorted(set(f1) | set(f2), key=lambda v: pos[v])
-    arcs = [_forward_arc(cyc, order[t], order[(t + 1) % 4]) for t in range(4)]
+    arcs = [_arcs_between(cyc, order[t], order[(t + 1) % 4])[0] for t in range(4)]
     return order, arcs
 
 
@@ -515,7 +497,7 @@ def _case_three_on_one_cycle(
     u2, v2 = f_on
     pos = {v: i for i, v in enumerate(cyc)}
     q3 = sorted((u1, u2, v2), key=lambda v: pos[v])
-    T = {frozenset((q3[t], q3[(t + 1) % 3])): _forward_arc(cyc, q3[t], q3[(t + 1) % 3]) for t in range(3)}
+    T = {frozenset((q3[t], q3[(t + 1) % 3])): _arcs_between(cyc, q3[t], q3[(t + 1) % 3])[0] for t in range(3)}
     r2 = T[frozenset((u2, v2))]
     ru = T[frozenset((u1, u2))]
     rv = T[frozenset((u1, v2))]
@@ -628,7 +610,7 @@ def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
     segs = []
     broken = []
     for f in (f1, f2):
-        j = next(i for i, c in enumerate(cs) if f in _cycle_edges(c))
+        j = next(i for i, c in enumerate(cs) if f in cycle_edges(c))
         broken.append(j)
     if broken[0] == broken[1]:
         cyc = cs[broken[0]]
@@ -658,7 +640,7 @@ def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
 
 def _plus_minus(cs: list[Cycle], f_in: Edge, f_out: Edge) -> TwoPaths:
     """f_in lies on a cycle, f_out does not; cover E(C) - f_in + f_out."""
-    j = next(i for i, c in enumerate(cs) if f_in in _cycle_edges(c))
+    j = next(i for i, c in enumerate(cs) if f_in in cycle_edges(c))
     cj = cs[j]
     s_walk = _cycle_minus_edge(cj, f_in)  # u1 .. v1
     rest = [c for i, c in enumerate(cs) if i != j]

@@ -6,13 +6,12 @@ from oddcover.core import (
     EdgeVector,
     Graph,
     OddCover,
+    degree2_components,
     degree_profile,
     edge_index,
-    index_edge,
     lower_bound,
     max_subgraph_density,
     verify_cover,
-    xor_edges,
 )
 from oddcover.families import counterexample, disjoint_cycles
 from oddcover.twopaths import cover_cycles
@@ -27,7 +26,7 @@ def test_edge_index_is_bit_exact():
     for u in range(n):
         for v in range(u + 1, n):
             assert edge_index(n, u, v) == expected
-            assert index_edge(n, expected) == (u, v)
+            assert EdgeVector(n, 1 << expected).edges() == [(u, v)]
             expected += 1
     assert expected == 15
 
@@ -45,9 +44,9 @@ vectors = st.integers(min_value=0, max_value=(1 << 6) - 1)
 @given(vectors, vectors, vectors)
 def test_xor_group_laws(a, b, c):
     va, vb, vc = (EdgeVector(4, x) for x in (a, b, c))
-    assert xor_edges(va, vb) == xor_edges(vb, va)
-    assert xor_edges(xor_edges(va, vb), vc) == xor_edges(va, xor_edges(vb, vc))
-    assert xor_edges(va, va) == EdgeVector(4, 0)
+    assert va ^ vb == vb ^ va
+    assert (va ^ vb) ^ vc == va ^ (vb ^ vc)
+    assert va ^ va == EdgeVector(4, 0)
 
 
 def test_xor_exhaustive_tiny():
@@ -82,6 +81,19 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 0)])
+
+
+def test_degree2_components_mixed():
+    # paths 5-2-7 and 9-4, cycles 1-3-8 and 0-6-10-11, isolated 12 and 13
+    edges = [(7, 2), (2, 5), (4, 9), (8, 1), (3, 8), (1, 3)]
+    edges += [(6, 0), (10, 6), (11, 10), (0, 11)]
+    paths, cycles = degree2_components(14, edges)
+    assert paths == [(4, 9), (5, 2, 7)]  # each from its smaller end
+    assert cycles == [(0, 6, 10, 11), (1, 3, 8)]  # smallest, then smaller neighbour
+    with pytest.raises(ValueError):
+        degree2_components(4, [(0, 1), (0, 2), (0, 3)])  # degree 3
+    with pytest.raises(ValueError):
+        degree2_components(3, [(0, 1), (1, 3)])  # vertex 3 outside 0..2
 
 
 def test_degree_profile_examples():

@@ -246,6 +246,22 @@ def test_cli_broken_solver_exits_3(monkeypatch, capsys):
     assert rc == 3  # never silently prints a bad witness
 
 
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_cli_unexpected_exception_exits_3(monkeypatch, capsys, exc):
+    # an exception no handler expects is a bug: exit 3, not a raw traceback
+    import io
+
+    from oddcover import cli as climod
+
+    def crash(g):
+        raise exc("solver crashed")
+
+    monkeypatch.setattr(climod, "path_odd_cover", crash)
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+    assert climod.main(["cover", "-"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_cli_main_inprocess_reads_stdin(monkeypatch, capsys):
     from oddcover import cli as climod
 

@@ -8,7 +8,6 @@ from oddcover.twopaths import (
     canon_cycle,
     choose_integrable_pair,
     cover_cycles,
-    cover_cycles_with_endpoint,
     integrate_four_edges,
     integrate_one_edge,
     integrate_two_edges,
@@ -81,20 +80,6 @@ def test_cover_two_squares_connector_cancels():
 def test_cover_rejects_empty():
     with pytest.raises(ValueError):
         cover_cycles([])
-    with pytest.raises(ValueError):
-        cover_cycles_with_endpoint([], 0)
-
-
-def test_cover_with_endpoint():
-    tp = cover_cycles_with_endpoint([(0, 1, 2)], 2)
-    assert tp.p[-1] == 2 and tp.q[-1] == 2
-    tp = cover_cycles_with_endpoint([(0, 1, 2), (3, 4, 5)], 4)
-    assert tp.p[-1] == 4 and tp.q[-1] == 4
-    assert xor_members(tp) == cycle_edges_of([(0, 1, 2), (3, 4, 5)])
-    tp = cover_cycles_with_endpoint([(0, 1, 2, 3, 4)], 3)
-    assert tp.p[-1] == 3 and tp.q[-1] == 3
-    with pytest.raises(ValueError):
-        cover_cycles_with_endpoint([(0, 1, 2)], 5)
 
 
 def test_integrate_one_pendant_edge():
