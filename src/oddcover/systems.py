@@ -25,6 +25,7 @@ of the same compression produce isolated-vertex covers and cycle covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .core import (
@@ -60,13 +61,165 @@ class PathSystem:
         return odd_edges(p for coll in self.collections for p in coll)
 
 
-def _endpoint_entries(sys: PathSystem) -> dict[int, list[tuple[int, int]]]:
-    entries: dict[int, list[tuple[int, int]]] = {}
-    for ci, coll in enumerate(sys.collections):
-        for pi, p in enumerate(coll):
-            for v in (p[0], p[-1]):
-                entries.setdefault(v, []).append((ci, pi))
-    return entries
+Entry = tuple[int, int]  # (collection, path id)
+
+
+class _EndpointIndex:
+    """Mutable path system on which join and insert touch only their paths.
+
+    Each collection is an insertion-ordered dict from path id to path, so a
+    removed path disappears, a merged path is appended and a replaced path
+    keeps its slot, as in a list.  `ends` maps every endpoint to its entries
+    (one for type I, two for type II) and `ones[c]` counts the type I ends of
+    collection c, so a move re-checks well-distributedness on its own
+    collections plus O(k) counts.
+    """
+
+    def __init__(self, sys: PathSystem):
+        self.colls: list[dict[int, Path]] = [{} for _ in sys.collections]
+        self.ends: dict[int, list[Entry]] = {}
+        self.ones = [0] * sys.k
+        self.next_vertex = sys.next_vertex
+        self.total = 0
+        self._ids = 0
+        for c, coll in enumerate(sys.collections):
+            for p in coll:
+                self._add(c, p)
+
+    @property
+    def k(self) -> int:
+        return len(self.colls)
+
+    def system(self) -> PathSystem:
+        return PathSystem([list(c.values()) for c in self.colls], self.next_vertex)
+
+    def is_two(self, v: int) -> bool:
+        return len(self.ends[v]) == 2
+
+    def other(self, v: int, not_this: Entry) -> Entry:
+        others = [e for e in self.ends[v] if e != not_this]
+        if len(others) != 1:
+            raise InternalInvariantError(f"endpoint {v} is not type II")
+        return others[0]
+
+    def _link(self, v: int, ent: Entry) -> None:
+        ents = self.ends.setdefault(v, [])
+        if len(ents) == 1:
+            self.ones[ents[0][0]] -= 1
+        ents.append(ent)
+        if len(ents) == 1:
+            self.ones[ent[0]] += 1
+
+    def _unlink(self, v: int, ent: Entry) -> None:
+        ents = self.ends[v]
+        if len(ents) == 1:
+            self.ones[ents[0][0]] -= 1
+        ents.remove(ent)
+        if len(ents) == 1:
+            self.ones[ents[0][0]] += 1
+        elif not ents:
+            del self.ends[v]
+
+    def _add(self, c: int, p: Path) -> None:
+        pid = self._ids
+        self._ids += 1
+        self.colls[c][pid] = p
+        self.total += 1
+        self._link(p[0], (c, pid))
+        self._link(p[-1], (c, pid))
+
+    def _remove(self, c: int, pid: int) -> None:
+        p = self.colls[c].pop(pid)
+        self.total -= 1
+        self._unlink(p[0], (c, pid))
+        self._unlink(p[-1], (c, pid))
+
+    def _replace(self, c: int, pid: int, p: Path) -> None:
+        old = self.colls[c][pid]
+        self._unlink(old[0], (c, pid))
+        self._unlink(old[-1], (c, pid))
+        self.colls[c][pid] = p
+        self._link(p[0], (c, pid))
+        self._link(p[-1], (c, pid))
+
+    def well_distributed(self, cols: Iterable[int]) -> bool:
+        """The count clauses over all collections; the clause on paths with
+        two type I ends over `cols` only."""
+        if any(c > 2 for c in self.ones):
+            return False
+        if 2 in self.ones and 0 in self.ones:
+            return False
+        for c in cols:
+            coll = self.colls[c]
+            if len(coll) > 1 and any(
+                len(self.ends[p[0]]) == 1 and len(self.ends[p[-1]]) == 1
+                for p in coll.values()
+            ):
+                return False
+        return True
+
+    def require_well_distributed(self, move: str, cols: Iterable[int]) -> None:
+        if not self.well_distributed(cols):
+            raise ValueError(f"{move} would break well-distributedness")
+
+    def join(self, u: int, v: int) -> None:
+        """Merge the two path pairs meeting at u and v with a doubled edge uv."""
+        eu, ev = self.ends.get(u, ()), self.ends.get(v, ())
+        if len(eu) != 2 or len(ev) != 2:
+            raise ValueError("join needs two type II endpoints")
+        cols_u = {c for c, _ in eu}
+        if cols_u != {c for c, _ in ev} or len(cols_u) != 2:
+            raise ValueError("join endpoints must be shared by the same two collections")
+        i, j = sorted(cols_u)
+        pi_u, pj_u = (next(pid for c, pid in eu if c == x) for x in (i, j))
+        pi_v, pj_v = (next(pid for c, pid in ev if c == x) for x in (i, j))
+        if pi_u == pi_v or pj_u == pj_v:
+            raise ValueError("join needs four distinct paths")
+        touched = ((i, pi_u), (i, pi_v), (j, pj_u), (j, pj_v))
+        old = [self.colls[c][pid] for c, pid in touched]
+        merged_i = tuple(_orient_end(old[0], u) + _orient_start(old[1], v))
+        merged_j = tuple(_orient_end(old[2], u) + _orient_start(old[3], v))
+        # untouched paths are unchanged, so the touched ones carry the XOR
+        if odd_edges((merged_i, merged_j)) != odd_edges(old):
+            raise InternalInvariantError("join changed the XOR of the system")
+        for c, pid in touched:
+            self._remove(c, pid)
+        self._add(i, merged_i)
+        self._add(j, merged_j)
+        self.require_well_distributed("join", (i, j))
+
+    def insert(self, u: int, ci: int, cr: int) -> tuple[int, int, int]:
+        """Subdivide the terminal edge at u of the collection-ci path and
+        donate the new one-edge piece to collection cr; returns (z, u, z')."""
+        ents = self.ends.get(u, ())
+        if len(ents) != 2:
+            raise ValueError("insert needs a type II endpoint")
+        if self.k < 3:
+            raise ValueError("insert needs at least three collections")
+        cols = {c for c, _ in ents}
+        if ci not in cols:
+            raise ValueError(f"collection {ci} has no path ending at {u}")
+        cj = (cols - {ci}).pop()
+        if cr in (ci, cj):
+            raise ValueError("receiving collection must differ from both sharers")
+        if 2 * len(self.colls[cr]) == self.ones[cr]:
+            raise ValueError("receiving collection has no type II endpoint")
+        pi = next(p for c, p in ents if c == ci)
+        path = self.colls[ci][pi]
+        z = path[1] if path[0] == u else path[-2]
+        z_new = self.next_vertex
+        replaced = (z_new,) + path[1:] if path[0] == u else path[:-1] + (z_new,)
+        piece = (z_new, u)
+        expected = odd_edges((path,)) ^ {
+            norm_edge(z, u), norm_edge(z, z_new), norm_edge(z_new, u)
+        }
+        if odd_edges((replaced, piece)) != expected:
+            raise InternalInvariantError("insert changed the XOR inconsistently")
+        self._replace(ci, pi, replaced)
+        self._add(cr, piece)
+        self.next_vertex += 1
+        self.require_well_distributed("insert", (ci, cr))
+        return z, u, z_new
 
 
 def _terminal_edge(p: Path, v: int) -> Edge:
@@ -91,16 +244,17 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
                 raise ValueError(f"collection {ci} paths share vertices")
             seen |= set(p)
             inner.update(p[1:-1])
+    idx = _EndpointIndex(sys)
     types: dict[int, str] = {}
-    for v, ents in _endpoint_entries(sys).items():
+    for v, ents in idx.ends.items():
         if len(ents) == 1:
             types[v] = "I"
         elif len(ents) == 2:
             (c1, p1), (c2, p2) = ents
             if c1 == c2:
                 raise ValueError(f"endpoint {v} shared within one collection")
-            t1 = _terminal_edge(sys.collections[c1][p1], v)
-            t2 = _terminal_edge(sys.collections[c2][p2], v)
+            t1 = _terminal_edge(idx.colls[c1][p1], v)
+            t2 = _terminal_edge(idx.colls[c2][p2], v)
             if t1 == t2:
                 raise ValueError(f"endpoint {v} has identical terminal edges")
             if v in inner:
@@ -112,20 +266,8 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
 
 
 def is_well_distributed(sys: PathSystem) -> bool:
-    types = classify_endpoints(sys)
-    ones = []
-    for coll in sys.collections:
-        cnt = sum(1 for p in coll for v in (p[0], p[-1]) if types[v] == "I")
-        ones.append(cnt)
-        if cnt > 2:
-            return False
-    if any(c == 2 for c in ones) and any(c == 0 for c in ones):
-        return False
-    for coll in sys.collections:
-        for p in coll:
-            if types[p[0]] == "I" and types[p[-1]] == "I" and len(coll) > 1:
-                return False
-    return True
+    classify_endpoints(sys)
+    return _EndpointIndex(sys).well_distributed(range(sys.k))
 
 
 def _orient_end(p: Path, v: int) -> list[int]:
@@ -136,15 +278,6 @@ def _orient_start(p: Path, v: int) -> list[int]:
     return list(p) if p[0] == v else list(p)[::-1]
 
 
-def _other_entry(
-    entries: dict[int, list[tuple[int, int]]], v: int, not_this: tuple[int, int]
-) -> tuple[int, int]:
-    others = [e for e in entries[v] if e != not_this]
-    if len(others) != 1:
-        raise InternalInvariantError(f"endpoint {v} is not type II")
-    return others[0]
-
-
 def join(sys: PathSystem, u: int, v: int) -> PathSystem:
     """Merge the two path pairs meeting at u and v with a doubled edge uv.
 
@@ -152,43 +285,11 @@ def join(sys: PathSystem, u: int, v: int) -> PathSystem:
     four distinct paths; the total path count drops by two and the edge-set
     XOR is unchanged.
     """
-    types = classify_endpoints(sys)
-    if types.get(u) != "II" or types.get(v) != "II":
-        raise ValueError("join needs two type II endpoints")
-    entries = _endpoint_entries(sys)
-    cols_u = {ci for ci, _ in entries[u]}
-    cols_v = {ci for ci, _ in entries[v]}
-    if cols_u != cols_v or len(cols_u) != 2:
-        raise ValueError("join endpoints must be shared by the same two collections")
-    i, j = sorted(cols_u)
-
-    def path_at(ci: int, vertex: int) -> int:
-        return next(pi for c, pi in entries[vertex] if c == ci)
-
-    pi_u, pi_v = path_at(i, u), path_at(i, v)
-    pj_u, pj_v = path_at(j, u), path_at(j, v)
-    if pi_u == pi_v or pj_u == pj_v:
-        raise ValueError("join needs four distinct paths")
-    before = sys.parity_edges()
-    new_colls = [list(c) for c in sys.collections]
-    merged_i = tuple(
-        _orient_end(sys.collections[i][pi_u], u)
-        + _orient_start(sys.collections[i][pi_v], v)
-    )
-    merged_j = tuple(
-        _orient_end(sys.collections[j][pj_u], u)
-        + _orient_start(sys.collections[j][pj_v], v)
-    )
-    new_colls[i] = [p for t, p in enumerate(new_colls[i]) if t not in (pi_u, pi_v)]
-    new_colls[i].append(merged_i)
-    new_colls[j] = [p for t, p in enumerate(new_colls[j]) if t not in (pj_u, pj_v)]
-    new_colls[j].append(merged_j)
-    out = PathSystem(new_colls, sys.next_vertex)
-    if not is_well_distributed(out):
-        raise ValueError("join would break well-distributedness")
-    if out.parity_edges() != before:
-        raise InternalInvariantError("join changed the XOR of the system")
-    return out
+    classify_endpoints(sys)
+    idx = _EndpointIndex(sys)
+    idx.join(u, v)
+    idx.require_well_distributed("join", range(idx.k))
+    return idx.system()
 
 
 def insert(
@@ -200,43 +301,11 @@ def insert(
     Returns the new system and the subdivision event (z, u, z') recording
     that edge zu became z-z'-u.  The path count grows by one.
     """
-    types = classify_endpoints(sys)
-    if types.get(u) != "II":
-        raise ValueError("insert needs a type II endpoint")
-    if sys.k < 3:
-        raise ValueError("insert needs at least three collections")
-    entries = _endpoint_entries(sys)
-    cols = {c for c, _ in entries[u]}
-    if ci not in cols:
-        raise ValueError(f"collection {ci} has no path ending at {u}")
-    cj = (cols - {ci}).pop()
-    if cr in (ci, cj):
-        raise ValueError("receiving collection must differ from both sharers")
-    if not any(
-        types[v] == "II"
-        for p in sys.collections[cr]
-        for v in (p[0], p[-1])
-    ):
-        raise ValueError("receiving collection has no type II endpoint")
-    pi = next(p for c, p in entries[u] if c == ci)
-    path = sys.collections[ci][pi]
-    z = path[1] if path[0] == u else path[-2]
-    z_new = sys.next_vertex
-    replaced = (
-        (z_new,) + path[1:] if path[0] == u else path[:-1] + (z_new,)
-    )
-    new_colls = [list(c) for c in sys.collections]
-    new_colls[ci][pi] = replaced
-    new_colls[cr].append((z_new, u))
-    out = PathSystem(new_colls, sys.next_vertex + 1)
-    if not is_well_distributed(out):
-        raise ValueError("insert would break well-distributedness")
-    expected = sys.parity_edges()
-    expected.discard(norm_edge(z, u))
-    expected |= {norm_edge(z, z_new), norm_edge(z_new, u)}
-    if out.parity_edges() != expected:
-        raise InternalInvariantError("insert changed the XOR inconsistently")
-    return out, (z, u, z_new)
+    classify_endpoints(sys)
+    idx = _EndpointIndex(sys)
+    event = idx.insert(u, ci, cr)
+    idx.require_well_distributed("insert", range(idx.k))
+    return idx.system(), event
 
 
 def reduce_system(
@@ -248,96 +317,105 @@ def reduce_system(
     applies join once, possibly preceded by one insert, so the total path
     count strictly decreases.  Returns the final system and the list of
     subdivision events performed by inserts.
+
+    The moves run on one endpoint index and check only the paths they touch;
+    the whole system is validated once at entry and once at exit.
     """
     if not is_well_distributed(sys):
         raise ValueError("system is not well-distributed")
+    start = sys.parity_edges()
+    idx = _EndpointIndex(sys)
     events: list[tuple[int, int, int]] = []
-    budget = sys.total_paths() + 16
+    try:
+        _reduce(idx, events)
+        out = idx.system()
+        ok = is_well_distributed(out)
+    except ValueError as exc:  # the input was valid, so this is a bug
+        raise InternalInvariantError(f"reduction failed: {exc}") from exc
+    if not ok:
+        raise InternalInvariantError("reduced system is not well-distributed")
+    for z, u, z_new in events:
+        start ^= {norm_edge(z, u), norm_edge(z, z_new), norm_edge(z_new, u)}
+    if out.parity_edges() != start:
+        raise InternalInvariantError("reduction changed the XOR of the system")
+    return out, events
+
+
+def _reduce(idx: _EndpointIndex, events: list[tuple[int, int, int]]) -> None:
+    two = idx.is_two
+    budget = idx.total + 16
     guard = 0
-    while sys.total_paths() > sys.k:
+    while idx.total > idx.k:
         guard += 1
         if guard > budget:
             raise InternalInvariantError("reduction failed to make progress")
-        types = classify_endpoints(sys)
-        entries = _endpoint_entries(sys)
-        sizes = [len(c) for c in sys.collections]
+        sizes = [len(c) for c in idx.colls]
         c1 = sizes.index(max(sizes))
-        coll1 = sys.collections[c1]
+        coll1 = idx.colls[c1]
 
         if sizes[c1] >= 3:
-            p_idx = next(
-                t
-                for t, p in enumerate(coll1)
-                if types[p[0]] == "II" and types[p[-1]] == "II"
-            )
+            p_idx = next(t for t, p in coll1.items() if two(p[0]) and two(p[-1]))
             pp_idx, u = next(
                 (t, e)
-                for t, p in enumerate(coll1)
+                for t, p in coll1.items()
                 if t != p_idx
                 for e in (p[0], p[-1])
-                if types[e] == "II"
+                if two(e)
             )
             v, v2 = coll1[p_idx][0], coll1[p_idx][-1]
-            q_ent = _other_entry(entries, u, (c1, pp_idx))
-            r_ent = _other_entry(entries, v, (c1, p_idx))
-            r2_ent = _other_entry(entries, v2, (c1, p_idx))
+            q_ent = idx.other(u, (c1, pp_idx))
+            r_ent = idx.other(v, (c1, p_idx))
+            r2_ent = idx.other(v2, (c1, p_idx))
             i = q_ent[0]
             if r_ent[0] != i:
-                sys, ev = insert(sys, v, r_ent[0], i)
-                events.append(ev)
-                sys = join(sys, u, v)
+                events.append(idx.insert(v, r_ent[0], i))
+                idx.join(u, v)
             elif r2_ent[0] != i:
-                sys, ev = insert(sys, v2, r2_ent[0], i)
-                events.append(ev)
-                sys = join(sys, u, v2)
+                events.append(idx.insert(v2, r2_ent[0], i))
+                idx.join(u, v2)
             else:
-                q_path = sys.collections[i][q_ent[1]]
+                q_path = idx.colls[i][q_ent[1]]
                 y = q_path[0] if q_path[-1] == u else q_path[-1]
-                if types[y] == "II":
+                if two(y):
                     if r_ent == q_ent:
                         v = v2  # the path at the other end differs from Q
-                    sys = join(sys, u, v)
                 else:
-                    r_path = sys.collections[i][r_ent[1]]
+                    r_path = idx.colls[i][r_ent[1]]
                     z = r_path[0] if r_path[-1] == v else r_path[-1]
-                    if types[z] != "II":
+                    if not two(z):
                         v = v2  # then the path at v2 ends at a type II vertex
-                    sys = join(sys, u, v)
+                idx.join(u, v)
         else:
-            p, pp = coll1[0], coll1[1]
-            u = p[0] if types[p[0]] == "II" else p[-1]
-            v = pp[0] if types[pp[0]] == "II" else pp[-1]
+            (a, p), (b, pp) = islice(coll1.items(), 2)
+            u = p[0] if two(p[0]) else p[-1]
+            v = pp[0] if two(pp[0]) else pp[-1]
             x = p[-1] if u == p[0] else p[0]
             w = pp[-1] if v == pp[0] else pp[0]
-            q_ent = _other_entry(entries, u, (c1, 0))
-            r_ent = _other_entry(entries, v, (c1, 1))
-            if q_ent == r_ent and not (types[x] == "I" and types[w] == "I"):
-                if types[x] == "II":
+            q_ent = idx.other(u, (c1, a))
+            r_ent = idx.other(v, (c1, b))
+            if q_ent == r_ent and (two(x) or two(w)):
+                if two(x):
                     u = x
-                    q_ent = _other_entry(entries, u, (c1, 0))
+                    q_ent = idx.other(u, (c1, a))
                 else:
                     v = w
-                    r_ent = _other_entry(entries, v, (c1, 1))
+                    r_ent = idx.other(v, (c1, b))
             if q_ent != r_ent:
-                if q_ent[0] == r_ent[0]:
-                    sys = join(sys, u, v)
-                else:
-                    sys, ev = insert(sys, v, r_ent[0], q_ent[0])
-                    events.append(ev)
-                    sys = join(sys, u, v)
+                if q_ent[0] != r_ent[0]:
+                    events.append(idx.insert(v, r_ent[0], q_ent[0]))
+                idx.join(u, v)
             else:
                 i = q_ent[0]
                 y_star = next(
                     end
-                    for t, p2 in enumerate(sys.collections[i])
+                    for t, p2 in idx.colls[i].items()
                     if t != q_ent[1]
                     for end, other in ((p2[0], p2[-1]), (p2[-1], p2[0]))
-                    if types[end] == "II" and types[other] == "I"
+                    if two(end) and not two(other)
                 )
-                sys, ev = insert(sys, y_star, i, c1)
+                ev = idx.insert(y_star, i, c1)
                 events.append(ev)
-                sys = join(sys, u, ev[2])
-    return sys, events
+                idx.join(u, ev[2])
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +456,15 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
     """
     _, _, odd = degree_profile(g)
     odd_rank = {v: r for r, v in enumerate(odd)}
-    deg = g.degrees()
+    adj = g.adjacency()
     color: dict[Edge, int] = {}
     for v in range(g.n):
-        inc = sorted(e for e in g.edges if v in e)
         stubs = []
-        for e in inc:
-            ch = chains[e]
+        for w in adj[v]:  # ascending neighbours: incident edges in sorted order
+            ch = chains[norm_edge(v, w)]
             stub = norm_edge(ch[0], ch[1]) if ch[0] == v else norm_edge(ch[2], ch[3])
             stubs.append(stub)
-        if deg[v] % 2 == 1:
+        if len(stubs) % 2 == 1:
             s = odd_rank[v] % k
             color[stubs[0]] = s
             palette = [c for c in range(k) if c != s]
@@ -396,7 +473,7 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
                 color[rest[2 * t]] = palette[t]
                 color[rest[2 * t + 1]] = palette[t]
         else:
-            for t in range(deg[v] // 2):
+            for t in range(len(stubs) // 2):
                 color[stubs[2 * t]] = t
                 color[stubs[2 * t + 1]] = t
     spread = 0
@@ -559,17 +636,16 @@ def two_path_cover_la2(
     types = classify_endpoints(sys)
     if any(t == "I" for t in types.values()):
         raise ValueError("decomposition has an unmatched endpoint")
-    while len(sys.collections[0]) > 1:
-        entries = _endpoint_entries(sys)
-        p = sys.collections[0][0]
+    idx = _EndpointIndex(sys)
+    while len(idx.colls[0]) > 1:
+        (a, p), (_, pp) = islice(idx.colls[0].items(), 2)
         v, u = p[0], p[-1]
-        q_ent = _other_entry(entries, v, (0, 0))
-        q = sys.collections[q_ent[0]][q_ent[1]]
+        q_ent = idx.other(v, (0, a))
+        q = idx.colls[q_ent[0]][q_ent[1]]
         w = q[0] if q[-1] == v else q[-1]
-        pp = sys.collections[0][1]
         x = pp[0] if pp[0] not in (u, v, w) else pp[-1]
-        sys = join(sys, v, x)
-    p, q = sys.collections[0][0], sys.collections[1][0]
+        idx.join(v, x)
+    p, q = (next(iter(c.values())) for c in idx.colls)
     if odd_edges((p, q)) != g.edges:
         raise InternalInvariantError("two-forest compression failed self-check")
     return TwoPaths(p, q)

@@ -125,7 +125,10 @@ def _checked(
 ) -> TwoPaths:
     paths = (tuple(p), tuple(q))
     for vs in paths:
-        check_path(vs)
+        try:
+            check_path(vs)
+        except ValueError as exc:  # the kit built it: a bug, not bad input
+            raise InternalInvariantError(str(exc)) from exc
         if allowed is not None and not set(vs) <= allowed:
             raise InternalInvariantError(
                 f"path strays outside the instance: {sorted(set(vs) - allowed)}"

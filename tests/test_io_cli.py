@@ -246,6 +246,26 @@ def test_cli_broken_solver_exits_3(monkeypatch, capsys):
     assert rc == 3  # never silently prints a bad witness
 
 
+def test_cli_kit_bug_exits_3(monkeypatch, capsys):
+    # a two-path kit result that is not a simple path is a bug, not bad input
+    import io
+
+    from oddcover import cli as climod
+    from oddcover import twopaths
+
+    real = twopaths._thread
+
+    def repeating(*args, **kwargs):
+        p, q = real(*args, **kwargs)
+        return p + [p[0]], q
+
+    monkeypatch.setattr(twopaths, "_thread", repeating)
+    squares = "8 8\n0 1\n1 2\n2 3\n0 3\n4 5\n5 6\n6 7\n4 7\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(squares))
+    assert climod.main(["cover", "-"]) == 3
+    assert "repeats a vertex" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_cli_unexpected_exception_exits_3(monkeypatch, capsys, exc):
     # an exception no handler expects is a bug: exit 3, not a raw traceback

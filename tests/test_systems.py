@@ -1,7 +1,17 @@
+import io
+
 import pytest
 
-from oddcover.core import Graph, degree_profile, norm_edge, verify_cover
-from oddcover.families import eulerian_random
+from oddcover import cli, systems
+from oddcover.core import (
+    Graph,
+    InternalInvariantError,
+    degree_profile,
+    lower_bound,
+    norm_edge,
+    verify_cover,
+)
+from oddcover.families import eulerian_random, gnp
 from oddcover.oracle import exact_linear_forests
 from oddcover.systems import (
     ForestState,
@@ -89,6 +99,53 @@ def test_reduce_square_system():
     assert out.total_paths() == 2 and not events
     members = [c[0] for c in out.collections]
     assert xor_members(members) == square_system().parity_edges()
+
+
+def test_reduction_validates_whole_system_a_constant_number_of_times(monkeypatch):
+    # the moves check only the paths they touch; the whole system is
+    # classified at entry and exit, however many joins run in between
+    counts = {"classify": 0, "join": 0}
+    real_classify = systems.classify_endpoints
+    real_join = systems._EndpointIndex.join
+
+    def classify(sys):
+        counts["classify"] += 1
+        return real_classify(sys)
+
+    def join(self, u, v):
+        counts["join"] += 1
+        return real_join(self, u, v)
+
+    monkeypatch.setattr(systems, "classify_endpoints", classify)
+    monkeypatch.setattr(systems._EndpointIndex, "join", join)
+    h, cover, chains = topological_cover(gnp(100, 0.1, seed=1))
+    assert verify_cover(cover).valid
+    assert counts["join"] > 100
+    assert counts["classify"] <= 4
+
+
+def test_topological_cover_gnp_400():
+    g = gnp(400, 0.02, seed=1)
+    h, cover, chains = topological_cover(g)
+    assert verify_cover(cover).valid and cover.count == lower_bound(g)
+
+
+def test_broken_move_is_an_internal_error(monkeypatch, capsys):
+    # a join that loses a vertex changes the XOR of the paths it touches
+    real = systems._orient_start
+
+    def drop_last(p, v):
+        return real(p, v)[:-1]
+
+    monkeypatch.setattr(systems, "_orient_start", drop_last)
+    with pytest.raises(InternalInvariantError):
+        reduce_system(square_system())
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    with pytest.raises(InternalInvariantError):
+        topological_cover(Graph(5, k5))
+    lines = "".join(f"{u} {v}\n" for u, v in k5)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"5 {len(k5)}\n{lines}"))
+    assert cli.main(["top-cover", "-"]) == 3
 
 
 def test_exceptional_family_detection():
