@@ -53,6 +53,7 @@ from .solver import (
     iso_cover_general,
     path_odd_cover,
     peel_odd_path,
+    peel_odd_paths,
     solve_budget,
 )
 from .systems import (

@@ -13,6 +13,7 @@ parallel workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -230,6 +231,7 @@ def _add_graph_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oddcover",

@@ -17,7 +17,6 @@ from .core import (
     Edge,
     Graph,
     InternalInvariantError,
-    cycle_edges,
     degree_profile,
     norm_edge,
 )
@@ -66,13 +65,13 @@ def balanced_orientation(g: Graph) -> list[tuple[int, int]]:
     """
     if not g.is_even():
         raise ValueError("balanced orientation needs all degrees even")
-    adj = {v: rows for v, rows in enumerate(g.adjacency())}
-    # Mutable multiset view of remaining edges per vertex.
-    remaining = {v: list(adj[v]) for v in range(g.n)}
+    adj = g.adjacency()
+    # Cursor into each sorted row: entries before it are used edges.
+    nxt = [0] * g.n
     used: set[Edge] = set()
     arcs: list[tuple[int, int]] = []
     for start in range(g.n):
-        if not remaining[start]:
+        if nxt[start] == len(adj[start]):
             continue
         # Hierholzer with an explicit stack; sorted adjacency keeps it
         # deterministic.
@@ -80,13 +79,20 @@ def balanced_orientation(g: Graph) -> list[tuple[int, int]]:
         walk = []
         while stack:
             v = stack[-1]
-            while remaining[v] and norm_edge(v, remaining[v][0]) in used:
-                remaining[v].pop(0)
-            if remaining[v]:
-                w = remaining[v].pop(0)
-                used.add(norm_edge(v, w))
+            row = adj[v]
+            i = nxt[v]
+            while i < len(row):
+                w = row[i]
+                e = (v, w) if v < w else (w, v)
+                if e not in used:
+                    break
+                i += 1
+            if i < len(row):
+                nxt[v] = i + 1
+                used.add(e)
                 stack.append(w)
             else:
+                nxt[v] = i
                 walk.append(stack.pop())
         walk.reverse()
         arcs.extend((walk[i], walk[i + 1]) for i in range(len(walk) - 1))
@@ -100,14 +106,17 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
     left vertex or raises if the matching is not perfect.
 
     Hopcroft-Karp style BFS layering guides the DFS; scan order is by id, so
-    the result is deterministic.
+    the result is deterministic.  The DFS runs on an explicit stack, so
+    augmenting paths may be as long as the graph.
     """
     INF = n_left + 1
     mate_left = [-1] * n_left
     mate_right = [-1] * n_left
+    dist = [INF] * n_left
+    pos = [0] * n_left  # scan position of each vertex on the DFS stack
 
     def bfs() -> bool:
-        dist = [INF] * n_left
+        dist[:] = [INF] * n_left
         queue = [u for u in range(n_left) if mate_left[u] == -1]
         for u in queue:
             dist[u] = 0
@@ -123,58 +132,72 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
                 elif dist[w] == INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        self_dist[:] = dist
         return found
 
-    self_dist = [INF] * n_left
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = mate_right[v]
-            if w == -1 or (self_dist[w] == self_dist[u] + 1 and dfs(w)):
-                mate_left[u] = v
-                mate_right[v] = u
-                return True
-        self_dist[u] = INF
+    def augment(root: int) -> bool:
+        # Each frame scans its row from pos[u]; descending into w = mate of
+        # row[pos[u]] is the recursive call, and a dead end marks w with INF
+        # and resumes its caller at the next entry.
+        stack = [root]
+        pos[root] = 0
+        while stack:
+            u = stack[-1]
+            row = adj[u]
+            end = len(row)
+            next_dist = dist[u] + 1
+            i = pos[u]
+            while i < end:
+                w = mate_right[row[i]]
+                if w == -1 or dist[w] == next_dist:
+                    break
+                i += 1
+            pos[u] = i
+            if i == end:
+                dist[u] = INF
+                stack.pop()
+                if stack:
+                    pos[stack[-1]] += 1
+                continue
+            w = mate_right[row[i]]
+            if w != -1:
+                stack.append(w)
+                pos[w] = 0
+                continue
+            for x in reversed(stack):
+                v = adj[x][pos[x]]
+                mate_left[x] = v
+                mate_right[v] = x
+            return True
         return False
 
     matched = 0
     while bfs():
         for u in range(n_left):
-            if mate_left[u] == -1 and dfs(u):
+            if mate_left[u] == -1 and augment(u):
                 matched += 1
     if matched != n_left:
         raise InternalInvariantError("bipartite graph has no perfect matching")
     return mate_left
 
 
-def max_degree_cycle_cover(g: Graph) -> list[Cycle]:
-    """Vertex-disjoint cycles of g covering every maximum-degree vertex.
+def _layer_cycles(out: list[list[int]], deg: list[int]) -> list[Cycle]:
+    """Vertex-disjoint directed cycles along the arcs `out` that cover
+    every vertex whose degree in `deg` is maximal.
 
-    Requires all degrees even and at least one edge.  Builds the bipartite
-    out/in graph of a balanced orientation, adds a self-edge for each vertex
-    that is not of maximum degree, and converts a perfect matching into the
-    orbits of a successor permutation.
+    The bipartite out/in graph has one edge per arc plus a self-edge for
+    each vertex not of maximum degree; a perfect matching is a successor
+    permutation whose nontrivial orbits are the cycles.
     """
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    if not g.is_even():
-        raise ValueError("cycle extraction needs all degrees even")
-    delta, _, _ = degree_profile(g)
-    deg = g.degrees()
-    arcs = balanced_orientation(g)
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in arcs:
-        adj[u].append(v)
-    for v in range(g.n):
-        if deg[v] != delta:
-            adj[v].append(v)  # self-edge: v may stay off the cycles
-        adj[v].sort()
-    mate = _bipartite_perfect_matching(g.n, adj)
+    delta = max(deg)
+    rows = []
+    for v, arcs in enumerate(out):
+        # self-edge: v may stay off the cycles
+        rows.append(sorted(arcs) if deg[v] == delta else sorted([*arcs, v]))
+    mate = _bipartite_perfect_matching(len(out), rows)
 
     cycles: list[Cycle] = []
-    seen = [False] * g.n
-    for s in range(g.n):
+    seen = [False] * len(out)
+    for s in range(len(out)):
         if seen[s] or mate[s] == s:
             seen[s] = True
             continue
@@ -189,11 +212,32 @@ def max_degree_cycle_cover(g: Graph) -> list[Cycle]:
             raise InternalInvariantError("orientation produced a 2-cycle")
         cycles.append(tuple(orbit))
 
-    covered = {v for c in cycles for v in c}
-    for v in range(g.n):
-        if deg[v] == delta and v not in covered:
+    for v, d in enumerate(deg):
+        if d == delta and mate[v] == v:
             raise InternalInvariantError(f"maximum-degree vertex {v} left uncovered")
     return cycles
+
+
+def _out_arcs(g: Graph) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in balanced_orientation(g):
+        out[u].append(v)
+    return out
+
+
+def max_degree_cycle_cover(g: Graph) -> list[Cycle]:
+    """Vertex-disjoint cycles of g covering every maximum-degree vertex.
+
+    Requires all degrees even and at least one edge.  Builds the bipartite
+    out/in graph of a balanced orientation, adds a self-edge for each vertex
+    that is not of maximum degree, and converts a perfect matching into the
+    orbits of a successor permutation.
+    """
+    if g.m == 0:
+        raise ValueError("graph has no edges")
+    if not g.is_even():
+        raise ValueError("cycle extraction needs all degrees even")
+    return _layer_cycles(_out_arcs(g), g.degrees())
 
 
 def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
@@ -201,18 +245,27 @@ def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
 
     Layer i covers every vertex whose degree is still maximal, so the
     maximum degree drops by exactly two per layer and the layer count is
-    exactly delta(g)/2.
+    exactly delta(g)/2.  One balanced orientation serves every layer: a
+    layer's cycles are directed cycles of it, so deleting their arcs keeps
+    in-degree equal to out-degree.
     """
-    if not g.is_even():
+    deg = g.degrees()
+    if any(d % 2 for d in deg):
         raise ValueError("layer peeling needs all degrees even")
+    delta = max(deg, default=0)
+    out = _out_arcs(g)
+    for row in out:
+        row.sort()
+    left = g.m
     layers: list[list[Cycle]] = []
-    current = g
-    while current.m:
-        layer = max_degree_cycle_cover(current)
+    while left:
+        layer = _layer_cycles(out, deg)
         layers.append(layer)
-        drop = [e for cyc in layer for e in cycle_edges(cyc)]
-        current = current.remove_edges(drop)
-    delta, _, _ = degree_profile(g)
+        for cyc in layer:
+            for i, u in enumerate(cyc):
+                out[u].remove(cyc[i + 1 - len(cyc)])
+                deg[u] -= 2
+            left -= len(cyc)
     if len(layers) != delta // 2:
         raise InternalInvariantError(
             f"expected {delta // 2} layers, produced {len(layers)}"

@@ -14,6 +14,11 @@ from typing import Any
 
 from .core import Graph, OddCover, verify_cover
 
+# Largest vertex count an edge list may declare.  Solvers allocate O(n)
+# lists whatever the edge count, so a larger header would exhaust memory
+# instead of failing as bad input.
+MAX_VERTICES = 10**6
+
 
 def parse_edge_list(text: str) -> Graph:
     n = m = None
@@ -28,6 +33,8 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'n m' header")
             n, m = int(parts[0]), int(parts[1])
+            if n > MAX_VERTICES:
+                raise ValueError(f"line {lineno}: n = {n} exceeds the limit {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v'")

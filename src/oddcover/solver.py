@@ -75,18 +75,73 @@ def peel_odd_path(g: Graph) -> tuple[tuple[int, ...], Graph]:
     return tuple(walk), g.remove_edges(path_edges(walk))
 
 
+def peel_odd_paths(g: Graph, p: int) -> tuple[list[tuple[int, ...]], Graph]:
+    """Remove p edge-disjoint paths, each joining two odd-degree vertices;
+    v_odd drops by 2p.
+
+    The paths split the T-join of the odd vertices T in a breadth-first
+    spanning forest: the edge from v to its parent is in the join exactly
+    when v's subtree holds an odd number of odd vertices.  Bottom-up, each
+    vertex pairs the open paths arriving from its children (plus itself
+    when odd) and passes at most one on to its parent, so every odd vertex
+    ends exactly one path.  The first p paths closed are removed with one
+    rebuild.
+    """
+    _, v_odd, odd = degree_profile(g)
+    if not 0 <= p <= v_odd // 2:
+        raise ValueError(f"can peel 0 to {v_odd // 2} odd paths, asked for {p}")
+    adj = g.adjacency()
+    parent = [-1] * g.n
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            x = order[i]
+            i += 1
+            for w in adj[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = x
+                    order.append(w)
+    is_odd = [False] * g.n
+    for v in odd:
+        is_odd[v] = True
+    # open_at[v]: paths running from an odd vertex up to v, still open
+    open_at: list[list[list[int]]] = [[] for _ in range(g.n)]
+    paths: list[tuple[int, ...]] = []
+    for v in reversed(order):
+        stubs = open_at[v]
+        open_at[v] = []
+        for stub in stubs:
+            stub.append(v)
+        if is_odd[v]:
+            stubs.append([v])
+        while len(stubs) >= 2:
+            a, b = stubs.pop(), stubs.pop()
+            b.pop()
+            a.extend(reversed(b))
+            paths.append(tuple(a))
+        if stubs:
+            if parent[v] == -1:
+                raise InternalInvariantError("component with an odd number of odd vertices")
+            open_at[parent[v]].append(stubs[0])
+    taken = paths[:p]
+    return taken, g.remove_edges(e for path in taken for e in path_edges(path))
+
+
 def cover_first_bound(g: Graph) -> OddCover:
     """Odd-cover with at most delta + v_odd/2 paths.
 
-    Peels odd-joining paths until the remainder is even-degree, then spends
-    two paths per cycle layer.
+    Peels v_odd/2 odd-joining paths in one pass, leaving an even-degree
+    remainder, then spends two paths per cycle layer.
     """
     delta0, v_odd0, _ = degree_profile(g)
-    members: list[tuple[int, ...]] = []
-    cur = g
-    while degree_profile(cur)[1] > 0:
-        p, cur = peel_odd_path(cur)
-        members.append(p)
+    members, cur = peel_odd_paths(g, v_odd0 // 2)
     for layer in peel_cycle_layers(cur):
         tp = cover_cycles(layer)
         members += [tp.p, tp.q]
@@ -204,9 +259,12 @@ def path_odd_cover(g: Graph) -> OddCover:
     cur = g
     delta, v_odd, _ = degree_profile(cur)
     delta_e = 2 * -(-delta // 2)
+    # Removing edges never raises delta, so after peeling down to
+    # v_odd/2 = delta_e the rest costs at most delta_e; a batch that lowers
+    # delta leaves more to peel.
     while v_odd // 2 > delta_e:
-        p, cur = peel_odd_path(cur)
-        members.append(p)
+        paths, cur = peel_odd_paths(cur, v_odd // 2 - delta_e)
+        members += paths
         delta, v_odd, _ = degree_profile(cur)
         delta_e = 2 * -(-delta // 2)
 

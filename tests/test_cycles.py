@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from oddcover.core import Graph, degree_profile, norm_edge
 from oddcover.cycles import (
+    _bipartite_perfect_matching,
     balanced_orientation,
     max_degree_cycle_cover,
     odd_matching,
@@ -10,6 +14,10 @@ from oddcover.cycles import (
 from oddcover.families import eulerian_random
 
 from conftest import random_graph, rng_for
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def cycle_edge_list(cycle):
@@ -157,3 +165,76 @@ def test_peel_layers_partition_random():
 def test_peel_layers_rejects_odd():
     with pytest.raises(ValueError):
         peel_cycle_layers(Graph(3, [(0, 1), (1, 2)]))
+
+
+def test_layer_primitives_match_reference():
+    # Outputs recorded before peel_cycle_layers oriented once: the
+    # orientation and the single-layer cover are unchanged by it.
+    covers, orientations = [], []
+    for seed in range(50):
+        g = eulerian_random(4 + seed % 37, seed=seed)
+        if g.m == 0:
+            covers.append(None)
+            continue
+        covers.append(max_degree_cycle_cover(g))
+        orientations.append(balanced_orientation(g))
+    assert digest(covers) == "94545b0a115887f0"
+    assert digest(orientations) == "487ffb4fc36a9be3"
+
+
+def test_bipartite_matching_mates_match_reference():
+    # The DFS runs on an explicit stack with the recursive scan order, so
+    # the mates recorded from the recursive version are reproduced.
+    rng = random.Random("bpm")
+    mates = []
+    for _ in range(200):
+        n = rng.randrange(1, 60)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        adj = [
+            sorted({perm[u]} | {v for v in range(n) if rng.random() < 0.1})
+            for u in range(n)
+        ]
+        mates.append(_bipartite_perfect_matching(n, adj))
+    assert digest(mates) == "a9654fa7af810f5f"
+
+
+def test_bipartite_matching_long_augmenting_path():
+    # Row u is [u, u + 1]: the first phase matches u -> u and leaves the
+    # last row unmatched, so one augmenting path runs through every row.
+    n = 5000
+    adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    mate = _bipartite_perfect_matching(n, adj)
+    assert mate == [u + 1 for u in range(n - 1)] + [0]
+
+
+def test_peel_cycle_layers_orients_once(monkeypatch):
+    from oddcover import cycles
+
+    orient_calls = []
+    graphs_built = []
+    real_orient = cycles.balanced_orientation
+    real_init = Graph.__init__
+
+    def counting_orient(g):
+        orient_calls.append(g)
+        return real_orient(g)
+
+    def counting_init(self, *args, **kwargs):
+        graphs_built.append(1)
+        real_init(self, *args, **kwargs)
+
+    inputs = [eulerian_random(n, seed=3) for n in (8, 20, 40, 80)]
+    deltas = [degree_profile(g)[0] for g in inputs]
+    assert deltas == sorted(deltas) and deltas[-1] >= 5 * deltas[0]
+    monkeypatch.setattr(cycles, "balanced_orientation", counting_orient)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    built = []
+    for g in inputs:
+        orient_calls.clear()
+        graphs_built.clear()
+        layers = peel_cycle_layers(g)
+        assert len(layers) == degree_profile(g)[0] // 2
+        assert orient_calls == [g]
+        built.append(len(graphs_built))
+    assert len(set(built)) == 1

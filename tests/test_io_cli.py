@@ -292,3 +292,33 @@ def test_cli_main_inprocess_reads_stdin(monkeypatch, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["valid"]
+
+
+def test_parse_edge_list_caps_the_vertex_count():
+    from oddcover.io import MAX_VERTICES
+
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    with pytest.raises(ValueError, match="line 1"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
+
+
+def test_cli_rejects_huge_vertex_count():
+    # rejected while parsing, before any solver allocates O(n) lists
+    proc = run_cli("cover", "-", stdin="1000000000000 0\n")
+    assert proc.returncode == 1
+    assert "invalid input" in proc.stderr
+
+
+def test_cli_two_verbs_in_one_process_match_separate_runs(tmp_path, capsys):
+    from oddcover import cli as climod
+
+    gen = ["gen", "--family", "eulerian-random", "--n", "12", "--seed", "4"]
+    gpath = tmp_path / "g.txt"
+    assert climod.main(gen) == 0
+    gen_out = capsys.readouterr().out
+    gpath.write_text(gen_out)
+    assert climod.main(["cycle-cover", str(gpath)]) == 0
+    cover_out = capsys.readouterr().out
+    assert climod._parser() is climod._parser()
+    assert gen_out == run_cli(*gen).stdout
+    assert cover_out == run_cli("cycle-cover", str(gpath)).stdout

@@ -1,6 +1,6 @@
 import pytest
 
-from oddcover.core import Graph, OddCover, degree_profile, verify_cover
+from oddcover.core import Graph, OddCover, degree_profile, path_edges, verify_cover
 from oddcover.families import (
     counterexample,
     cycles_on_path,
@@ -16,6 +16,7 @@ from oddcover.solver import (
     iso_cover_general,
     path_odd_cover,
     peel_odd_path,
+    peel_odd_paths,
     solve_budget,
 )
 from oddcover.systems import iso_cover_from_forests
@@ -58,6 +59,53 @@ def test_peel_odd_path_drops_two():
 def test_peel_odd_path_requires_odd_vertices():
     with pytest.raises(ValueError):
         peel_odd_path(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_peel_odd_paths_split_the_odd_set():
+    rng = rng_for("peel-odd-batch")
+    for trial in range(120):
+        n = rng.randrange(2, 60)
+        g = gnp(n, min(1.0, rng.choice([1.0, 2.0, 4.0]) / n), seed=trial)
+        _, v_odd, odd = degree_profile(g)
+        paths, rest = peel_odd_paths(g, v_odd // 2)
+        assert len(paths) == v_odd // 2
+        assert sorted(v for p in paths for v in (p[0], p[-1])) == odd
+        used = [e for p in paths for e in path_edges(p)]
+        assert len(used) == len(set(used)) and set(used) <= g.edges
+        assert all(len(p) >= 2 and len(set(p)) == len(p) for p in paths)
+        assert rest.edges == g.edges - set(used) and rest.is_even()
+        k = rng.randrange(v_odd // 2 + 1)
+        part, rest_k = peel_odd_paths(g, k)
+        assert part == paths[:k]
+        assert degree_profile(rest_k)[1] == v_odd - 2 * k
+
+
+def test_peel_odd_paths_rejects_bad_counts():
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert peel_odd_paths(g, 0) == ([], g)
+    for p in (-1, 3):
+        with pytest.raises(ValueError):
+            peel_odd_paths(g, p)
+
+
+def test_path_odd_cover_rebatches_when_delta_drops(monkeypatch):
+    # gnp(30, 0.05, seed=20): v_odd/2 = 7, delta = 5; the first batch of
+    # one path lowers delta to 4, so a second batch of two follows.
+    from oddcover import solver
+
+    batches = []
+    real = solver.peel_odd_paths
+
+    def spy(g, p):
+        batches.append((degree_profile(g)[0], p))
+        return real(g, p)
+
+    monkeypatch.setattr(solver, "peel_odd_paths", spy)
+    g = gnp(30, 1.5 / 30, seed=20)
+    _, v_odd, _ = degree_profile(g)
+    cover = path_odd_cover(g)
+    assert batches == [(5, 1), (4, 2)]
+    assert verify_cover(cover).valid and cover.count == v_odd // 2
 
 
 def test_cover_first_bound_examples():
