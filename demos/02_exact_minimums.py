@@ -2,8 +2,9 @@
 
 The oracle walks the GF(2) edge space: the minimum cover size is the
 shortest XOR-combination of path vectors reaching the target graph's edge
-vector.  Direct BFS handles n <= 6 (at most 2^15 states); n = 7 works
-meet-in-the-middle over 2^21 states and 6846 path generators.
+vector.  One lazy layered BFS serves every n <= 7; at n = 7 it spans 2^21
+states with 6846 path generators, and each candidate k meets in the middle,
+scanning the smaller of the two half-depth layers.
 """
 
 from itertools import combinations

@@ -1,19 +1,20 @@
 """Graph, path, and cycle primitives with GF(2) edge-set algebra.
 
-Everything downstream works in the edge space of the complete graph on a
-fixed vertex universe {0, ..., n-1}: a graph is a 0/1 vector indexed by the
-C(n, 2) unordered pairs, and a collection of paths (or cycles) odd-covers a
-graph when the XOR of their edge sets equals the graph's edge set -- every
-edge hit an odd number of times, every nonedge an even number.  Covers may
-freely use nonedges of the target; that freedom is what separates odd-covers
-from ordinary path decompositions.
+A graph lives on a fixed vertex universe {0, ..., n-1}, and a collection of
+paths (or cycles) odd-covers it when the XOR of their edge sets equals the
+graph's edge set -- every edge hit an odd number of times, every nonedge an
+even number.  Covers may freely use nonedges of the target; that freedom is
+what separates odd-covers from ordinary path decompositions.  The solvers
+work on edge sets: a `Graph` holds a frozenset of edges, and `odd_edges`
+and `verify_cover` take parities with sets.
 
 Conventions:
   Vertices are ints 0..n-1.  Edges are normalized tuples (u, v) with u < v.
   Paths and cycles are tuples of distinct vertex ids (a cycle does not
-  repeat its first vertex at the end).  Edge vectors are ints used as
-  bitsets; pair (u, v) with u < v maps to bit u*n - u*(u+1)/2 + (v - u - 1),
-  so witnesses are bit-exact across implementations.
+  repeat its first vertex at the end).  `EdgeVector` and `edge_index` give
+  a bitset view of the C(n, 2) pairs that only feeds the exact oracle: pair
+  (u, v) with u < v maps to bit u*n - u*(u+1)/2 + (v - u - 1), so oracle
+  witnesses are bit-exact across implementations.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def verify_cover(cover: OddCover) -> VerificationReport:
     """Check an odd-cover claim; failures are reported, never raised.
 
     The XOR test toggles per-edge parity (odd_edges), so it is independent
-    of the bitset algebra the solvers use.
+    of the bitset algebra the oracle searches in.
     """
     if cover.kind not in ("path", "cycle"):
         return VerificationReport(valid=False, member_errors=[f"unknown kind {cover.kind!r}"])

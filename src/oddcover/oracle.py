@@ -2,15 +2,17 @@
 
 Minimum path (or cycle) odd-covers are shortest XOR-combinations of the
 generator vectors (all paths, or all cycles, on the universe) reaching the
-target edge vector.  The search is breadth-first over the 2^C(n,2) edge
-space with a byte distance table; since layer D holds every vector of
-distance exactly D, the minimum k splits as k = ceil(k/2) + floor(k/2) and
-can be detected meet-in-the-middle: some vector at distance ceil(k/2) XORs
-with the target into distance <= floor(k/2).  That keeps n = 7 (2^21
-states, 6846 path generators) tractable; direct lookups cover n <= 6.
+target edge vector.  One lazy breadth-first search over the 2^C(n,2) edge
+space fills a byte distance table and keeps each layer D, the vectors at
+distance exactly D.  A minimum k splits as k = h + (k - h) with h =
+ceil(k/2), so only layers up to h are built, and each k is tested from the
+smaller side: some y in layer k - h has y ^ target at distance h.  At n = 7
+(2^21 states, 6846 path generators) layer 2 holds 940 229 states and layer
+1 only 6846, so k <= 3 never scans layer 2.  The witness is rebuilt by
+walking each half back to 0 through the distance table.
 
 Engines are cached per (n, kind): the table is target-independent, so
-exhaustive sweeps over many graphs on the same universe reuse one BFS.
+exhaustive sweeps over many graphs on the same universe reuse one search.
 """
 
 from __future__ import annotations
@@ -114,19 +116,15 @@ class _XorSearch:
             if new.size:
                 self.dist[new] = d
                 found.append(new)
-        layer = (
-            np.sort(np.concatenate(found))
-            if found
-            else np.zeros(0, dtype=np.uint32)
-        )
+        layer = np.concatenate(found) if found else np.zeros(0, dtype=np.uint32)
         self.layers.append(layer)
         if layer.size == 0:
             self.exhausted = True
 
-    def min_count(self, target: int, max_k: int) -> int | None:
-        """Minimum number of generators XORing to target, or None past max_k."""
+    def solve(self, target: int, max_k: int) -> tuple[int, list[int]] | None:
+        """Fewest generators XORing to target, as (k, indices); None past max_k."""
         if target == 0:
-            return 0
+            return 0, []
         t = np.uint32(target)
         for k in range(1, max_k + 1):
             h = (k + 1) // 2
@@ -134,38 +132,27 @@ class _XorSearch:
                 self._extend()
             if len(self.layers) - 1 < h:
                 dt = int(self.dist[target])
-                return dt if dt != 255 and dt <= max_k else None
-            layer = self.layers[h]
-            if layer.size and np.any(self.dist[layer ^ t] <= k - h):
-                return k
+                return (dt, self._walk(target)) if dt != 255 and dt <= max_k else None
+            # Every k' < k is ruled out and dist is exact to depth h, so y in
+            # the smaller layer k - h meets the target iff y ^ target is at h.
+            small = self.layers[k - h]
+            hits = small[self.dist[small ^ t] == h]
+            if hits.size:
+                if int(self.dist[target]) == k:
+                    return k, self._walk(target)
+                x = int((hits ^ t).min())
+                return k, self._walk(x) + self._walk(x ^ target)
         return None
-
-    def witness(self, target: int, k: int) -> list[int]:
-        """Generator indices for a known-optimal combination of size k."""
-        if k == 0:
-            return []
-        if int(self.dist[target]) == k:
-            return self._walk(target)
-        h = (k + 1) // 2
-        layer = self.layers[h]
-        hits = layer[self.dist[layer ^ np.uint32(target)] <= k - h]
-        if not hits.size:
-            raise InternalInvariantError("witness split vanished")
-        x = int(hits[0])
-        return self._walk(x) + self._walk(x ^ target)
 
     def _walk(self, x: int) -> list[int]:
         out = []
         while x:
-            d = int(self.dist[x])
-            for gi in range(len(self.gens)):
-                gm = int(self.gens[gi])
-                if int(self.dist[x ^ gm]) == d - 1:
-                    out.append(gi)
-                    x ^= gm
-                    break
-            else:
+            step = self.dist[self.gens ^ np.uint32(x)] == int(self.dist[x]) - 1
+            gi = int(step.argmax())
+            if not step[gi]:
                 raise InternalInvariantError("witness walk lost its predecessor")
+            out.append(gi)
+            x ^= int(self.gens[gi])
         return out
 
 
@@ -183,11 +170,12 @@ def _solve(g: Graph, kind: str, max_k: int | None) -> tuple[int, OddCover] | Non
     budget = max_k if max_k is not None else max(1, g.m)
     eng = _engine(g.n, kind)
     target = g.edge_vector().bits
-    k = eng.min_count(target, budget)
-    if k is None:
+    res = eng.solve(target, budget)
+    if res is None:
         return None
+    k, picks = res
     _, seqs = _path_generators(g.n) if kind == "path" else _cycle_generators(g.n)
-    members = [seqs[i] for i in eng.witness(target, k)]
+    members = [seqs[i] for i in picks]
     cover = OddCover(g, members, kind)
     if not verify_cover(cover).valid or cover.count != k:
         raise InternalInvariantError("oracle witness failed verification")

@@ -2,17 +2,33 @@
 
 On universes of at most 7 vertices the oracle's minimum is known, so every
 witness the layer peeling and odd-path peeling produce is checked to sit
-between the floors, the exact minimum and the guaranteed ceiling.
+between the floors, the exact minimum and the guaranteed ceiling, and the
+two-path kit's obstruction test is checked against the oracle's verdict.
 """
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddcover.core import Graph, degree_bound, degree_profile, lower_bound, verify_cover
+from oddcover.core import (
+    Graph,
+    OddCover,
+    cycle_edges,
+    degree_bound,
+    degree_profile,
+    lower_bound,
+    norm_edge,
+    verify_cover,
+)
 from oddcover.oracle import exact_c2, exact_p2
 from oddcover.solver import cycle_odd_cover, path_odd_cover
+from oddcover.twopaths import (
+    ExceptionalCase,
+    TwoPaths,
+    integrate_two_edges,
+    is_exceptional_k4,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -35,6 +51,41 @@ def even_graphs(draw, max_n=7):
     for a, b, c in triples:
         edges ^= {(a, b), (a, c), (b, c)}
     return Graph(n, edges)
+
+
+def _cycle_sizes(n, left=None, sizes=()):
+    """Every list of cycle sizes on n vertices leaving at most four uncovered."""
+    left = n if left is None else left
+    out = [list(sizes)] if left <= 4 else []
+    for size in range(3, left + 1):
+        out += _cycle_sizes(n, left - size, (*sizes, size))
+    return out
+
+
+@st.composite
+def kit_instances(draw):
+    """Vertex-disjoint cycles and two disjoint edges whose vertices are 0..n-1.
+
+    Vertices left off the cycles are endpoints of f1 or f2, so at most four
+    are; the edges may lie on, touch or avoid the cycles.  Half the draws
+    put all four endpoints on a 4-cycle beside a triangle, the only shape on
+    at most 7 vertices where the obstruction can occur; the pairing decides
+    whether it does.
+    """
+    near_k4 = draw(st.booleans())
+    n = 7 if near_k4 else draw(st.integers(4, 7))
+    order = draw(st.permutations(range(n)))
+    cycles, used = [], 0
+    for size in [4, 3] if near_k4 else draw(st.sampled_from(_cycle_sizes(n))):
+        cycles.append(tuple(order[used : used + size]))
+        used += size
+    ends = list(cycles[0]) if near_k4 else list(order[used:])
+    if len(ends) < 4:
+        more = 4 - len(ends)
+        on_cycles = st.sampled_from(sorted(order[:used]))
+        ends += draw(st.lists(on_cycles, min_size=more, max_size=more, unique=True))
+    a, b, c, d = draw(st.permutations(ends))
+    return n, cycles, (a, b), (c, d)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -77,3 +128,20 @@ def test_relabelled_and_padded_graph_keeps_its_bounds(g, pad, rnd):
         delta, _, _ = degree_profile(g)
         cycles = cycle_odd_cover(h)
         assert verify_cover(cycles).valid and cycles.count <= delta
+
+
+@SETTINGS
+@given(kit_instances())
+@example((7, [(0, 1, 2, 3), (4, 5, 6)], (0, 2), (1, 3)))  # K4 plus a disjoint C3
+def test_k4_obstruction_agrees_with_the_oracle(inst):
+    n, cycles, f1, f2 = inst
+    edges = {e for c in cycles for e in cycle_edges(c)} ^ {norm_edge(*f1), norm_edge(*f2)}
+    target = Graph(n, edges)
+    res = integrate_two_edges(cycles, f1, f2)
+    if is_exceptional_k4(cycles, f1, f2):
+        assert isinstance(res, ExceptionalCase)
+        assert exact_p2(target, max_k=2) is None
+    else:
+        assert isinstance(res, TwoPaths)
+        assert verify_cover(OddCover(target, list(res), "path")).valid
+        assert exact_p2(target, max_k=2) is not None
