@@ -123,13 +123,19 @@ def witness_json(
 
 
 def load_witness(text: str, target: Graph) -> OddCover:
+    """Read a witness object; a wrongly shaped one is bad input (ValueError)."""
     doc = json.loads(text)
-    members = [tuple(int(v) for v in p) for p in doc["members"]]
+    if not isinstance(doc, dict):
+        raise ValueError("witness must be a JSON object")
+    members = doc.get("members")
+    if not isinstance(members, list) or not all(isinstance(p, list) for p in members):
+        raise ValueError("witness members must be a list of vertex lists")
+    if not all(type(v) is int for p in members for v in p):
+        raise ValueError("witness vertices must be integers")
     kind = doc.get("kind", "path")
     if kind not in ("path", "cycle"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    if int(doc.get("n", target.n)) != target.n:
-        raise ValueError(
-            f"witness universe n={doc.get('n')} does not match graph n={target.n}"
-        )
-    return OddCover(target, members, kind)
+    n = doc.get("n", target.n)
+    if type(n) is not int or n != target.n:
+        raise ValueError(f"witness universe n={n!r} does not match graph n={target.n}")
+    return OddCover(target, [tuple(p) for p in members], kind)

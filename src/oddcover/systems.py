@@ -20,12 +20,18 @@ is a single path.  Seeding the system by 3-subdividing a graph and edge
 coloring so that the color classes are short linear forests yields covers
 of a subdivision by exactly max{v_odd/2, ceil(delta/2)} paths, and variants
 of the same compression produce isolated-vertex covers and cycle covers.
+
+All three moves run on one endpoint index and cost O(1) amortised plus the
+copy of the paths they build: well-distributedness is read off counters the
+index keeps, and each move's XOR check looks only at the seams where it
+joins old paths to new edges.  The whole system is validated and its XOR
+compared once on entry and once on exit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterable, Sequence
 
 from .core import (
@@ -54,9 +60,6 @@ class PathSystem:
     def k(self) -> int:
         return len(self.collections)
 
-    def total_paths(self) -> int:
-        return sum(len(c) for c in self.collections)
-
     def parity_edges(self) -> set[Edge]:
         return odd_edges(p for coll in self.collections for p in coll)
 
@@ -65,128 +68,214 @@ Entry = tuple[int, int]  # (collection, path id)
 
 
 class _EndpointIndex:
-    """Mutable path system on which join and insert touch only their paths.
+    """Mutable path system on which join, insert and meet touch only their
+    paths.
 
-    Each collection is an insertion-ordered dict from path id to path, so a
-    removed path disappears, a merged path is appended and a replaced path
-    keeps its slot, as in a list.  `ends` maps every endpoint to its entries
-    (one for type I, two for type II) and `ones[c]` counts the type I ends of
-    collection c, so a move re-checks well-distributedness on its own
-    collections plus O(k) counts.
+    Each collection maps path id to path and is ordered by ascending id: a
+    merged or donated path takes a fresh, larger id and comes last, a
+    replaced path keeps its id and its place, and meet's merged path takes
+    an id below all others and comes first.  `ends` maps every endpoint to
+    its entries (one for type I, two for type II).
+
+    join and insert change no vertex's type: join drops two type II
+    vertices whole and hands each far end's entry from an old path to the
+    merged one, and insert hands a type II entry to the donated piece and
+    adds the new vertex as type II.  So the type I end count of each
+    collection (`ones`), and with it the two count clauses of
+    well-distributedness, are fixed once the index is built.  Only the
+    third clause moves: the index keeps, per collection, the number of
+    paths with two type I ends (`lonely`), so `well_distributed` is O(1)
+    amortised.  Lazy heaps answer the reduction's "largest collection",
+    "first two paths" and "first path with two type II ends" queries in
+    O(log k) amortised.  meet works on linear forests, where no clause
+    applies: it keeps paths, ends and order exact and leaves the counts.
+
+    No move recomputes an XOR.  Each new path is old paths, each kept whole
+    or reversed, joined by new edges at its seams, so the XOR of the touched
+    paths is unchanged exactly when every new edge appears twice; checking
+    the few vertices at the seams is that same check in O(1).
     """
 
     def __init__(self, sys: PathSystem):
         self.colls: list[dict[int, Path]] = [{} for _ in sys.collections]
         self.ends: dict[int, list[Entry]] = {}
-        self.ones = [0] * sys.k
-        self.next_vertex = sys.next_vertex
-        self.total = 0
-        self._ids = 0
+        ends = self.ends
+        pid = 0
         for c, coll in enumerate(sys.collections):
-            for p in coll:
-                self._add(c, p)
+            paths = self.colls[c]
+            for p in map(tuple, coll):
+                paths[pid] = p
+                ends.setdefault(p[0], []).append((c, pid))
+                ends.setdefault(p[-1], []).append((c, pid))
+                pid += 1
+        self._ids = pid
+        self._front = 0  # meet's merged paths count down from -1
+        self.total = pid
+        self.next_vertex = sys.next_vertex
+        self.ones = [0] * sys.k
+        for ents in ends.values():
+            if len(ents) == 1:
+                self.ones[ents[0][0]] += 1
+        self.counts_ok = max(self.ones, default=0) <= 2 and not (
+            2 in self.ones and 0 in self.ones
+        )
+        self.lonely = [
+            sum(len(ends[p[0]]) == 1 and len(ends[p[-1]]) == 1 for p in paths.values())
+            for paths in self.colls
+        ]
+        self.flagged = [
+            n > 0 and len(paths) > 1 for n, paths in zip(self.lonely, self.colls)
+        ]
+        self.bad = sum(self.flagged)
+        self._dirty: list[int] = []  # collections whose flag may be stale
+        # ids ascend within each collection, so these lists are already heaps
+        self.order = [list(paths) for paths in self.colls]
+        self.both_two = [
+            [t for t, p in paths.items() if len(ends[p[0]]) == 2 and len(ends[p[-1]]) == 2]
+            for paths in self.colls
+        ]
+        # collection c has an entry keyed -size_key[c], and size_key[c] is at
+        # least its size: growth pushes a new key, `largest` lowers stale ones
+        self.size_key = [len(paths) for paths in self.colls]
+        self.by_size = [(-n, c) for c, n in enumerate(self.size_key)]
+        heapify(self.by_size)
 
     @property
     def k(self) -> int:
         return len(self.colls)
 
     def system(self) -> PathSystem:
-        return PathSystem([list(c.values()) for c in self.colls], self.next_vertex)
+        return PathSystem(
+            [[p for _, p in sorted(c.items())] for c in self.colls], self.next_vertex
+        )
 
     def is_two(self, v: int) -> bool:
         return len(self.ends[v]) == 2
 
     def other(self, v: int, not_this: Entry) -> Entry:
-        others = [e for e in self.ends[v] if e != not_this]
-        if len(others) != 1:
-            raise InternalInvariantError(f"endpoint {v} is not type II")
-        return others[0]
-
-    def _link(self, v: int, ent: Entry) -> None:
-        ents = self.ends.setdefault(v, [])
-        if len(ents) == 1:
-            self.ones[ents[0][0]] -= 1
-        ents.append(ent)
-        if len(ents) == 1:
-            self.ones[ent[0]] += 1
-
-    def _unlink(self, v: int, ent: Entry) -> None:
         ents = self.ends[v]
-        if len(ents) == 1:
-            self.ones[ents[0][0]] -= 1
+        if len(ents) != 2 or not_this not in ents:
+            raise InternalInvariantError(f"endpoint {v} is not type II")
+        return ents[1] if ents[0] == not_this else ents[0]
+
+    def _retarget(self, v: int, old: Entry, new: Entry) -> None:
+        """Hand old's entry at v to new; v keeps its type."""
+        ents = self.ends[v]
+        ents[ents.index(old)] = new
+
+    def _drop(self, v: int, ent: Entry) -> None:
+        ents = self.ends[v]
         ents.remove(ent)
-        if len(ents) == 1:
-            self.ones[ents[0][0]] += 1
-        elif not ents:
+        if not ents:
             del self.ends[v]
 
-    def _add(self, c: int, p: Path) -> None:
-        pid = self._ids
-        self._ids += 1
-        self.colls[c][pid] = p
-        self.total += 1
-        self._link(p[0], (c, pid))
-        self._link(p[-1], (c, pid))
+    def _settle(self, c: int, pid: int, p: Path) -> None:
+        """Count a new path of collection c whose ends are all linked."""
+        n0, n1 = len(self.ends[p[0]]), len(self.ends[p[-1]])
+        if n0 == 1 and n1 == 1:
+            self.lonely[c] += 1
+        elif n0 == 2 and n1 == 2:
+            heappush(self.both_two[c], pid)
+        self._dirty.append(c)
 
-    def _remove(self, c: int, pid: int) -> None:
-        p = self.colls[c].pop(pid)
-        self.total -= 1
-        self._unlink(p[0], (c, pid))
-        self._unlink(p[-1], (c, pid))
+    def _new_id(self, c: int, first: bool = False) -> int:
+        """A fresh id placing its path last in collection c, or first."""
+        if first:
+            self._front -= 1
+            pid = self._front
+        else:
+            pid = self._ids
+            self._ids += 1
+        heappush(self.order[c], pid)
+        return pid
 
-    def _replace(self, c: int, pid: int, p: Path) -> None:
-        old = self.colls[c][pid]
-        self._unlink(old[0], (c, pid))
-        self._unlink(old[-1], (c, pid))
-        self.colls[c][pid] = p
-        self._link(p[0], (c, pid))
-        self._link(p[-1], (c, pid))
+    def well_distributed(self) -> bool:
+        for c in self._dirty:
+            flag = self.lonely[c] > 0 and len(self.colls[c]) > 1
+            if flag != self.flagged[c]:
+                self.flagged[c] = flag
+                self.bad += 1 if flag else -1
+        self._dirty.clear()
+        return self.counts_ok and not self.bad
 
-    def well_distributed(self, cols: Iterable[int]) -> bool:
-        """The count clauses over all collections; the clause on paths with
-        two type I ends over `cols` only."""
-        if any(c > 2 for c in self.ones):
-            return False
-        if 2 in self.ones and 0 in self.ones:
-            return False
-        for c in cols:
-            coll = self.colls[c]
-            if len(coll) > 1 and any(
-                len(self.ends[p[0]]) == 1 and len(self.ends[p[-1]]) == 1
-                for p in coll.values()
-            ):
-                return False
-        return True
-
-    def require_well_distributed(self, move: str, cols: Iterable[int]) -> None:
-        if not self.well_distributed(cols):
+    def require_well_distributed(self, move: str) -> None:
+        if not self.well_distributed():
             raise ValueError(f"{move} would break well-distributedness")
+
+    def largest(self) -> int:
+        """The largest collection, the lowest index among equals."""
+        heap, size_key = self.by_size, self.size_key
+        while True:
+            key, c = heap[0]
+            n = len(self.colls[c])
+            if -key != size_key[c]:
+                heappop(heap)  # superseded by a later push for c
+            elif n == size_key[c]:
+                return c
+            else:
+                size_key[c] = n
+                heapreplace(heap, (-n, c))
+
+    def first_two(self, c: int) -> tuple[int, int]:
+        """Ids of the first two paths of collection c."""
+        heap, paths = self.order[c], self.colls[c]
+        while heap[0] not in paths:
+            heappop(heap)
+        first = heappop(heap)
+        while heap[0] not in paths:
+            heappop(heap)
+        second = heap[0]
+        heappush(heap, first)
+        return first, second
+
+    def first_both_two(self, c: int) -> int:
+        """Id of the first path of collection c with two type II ends."""
+        heap, paths, ends = self.both_two[c], self.colls[c], self.ends
+        while heap:
+            p = paths.get(heap[0])
+            if p is not None and len(ends[p[0]]) == 2 and len(ends[p[-1]]) == 2:
+                return heap[0]
+            heappop(heap)
+        raise InternalInvariantError(f"collection {c} has no path with two type II ends")
 
     def join(self, u: int, v: int) -> None:
         """Merge the two path pairs meeting at u and v with a doubled edge uv."""
         eu, ev = self.ends.get(u, ()), self.ends.get(v, ())
         if len(eu) != 2 or len(ev) != 2:
             raise ValueError("join needs two type II endpoints")
-        cols_u = {c for c, _ in eu}
-        if cols_u != {c for c, _ in ev} or len(cols_u) != 2:
+        (i, pi_u), (j, pj_u) = sorted(eu)
+        (i2, pi_v), (j2, pj_v) = sorted(ev)
+        if i == j or (i, j) != (i2, j2):
             raise ValueError("join endpoints must be shared by the same two collections")
-        i, j = sorted(cols_u)
-        pi_u, pj_u = (next(pid for c, pid in eu if c == x) for x in (i, j))
-        pi_v, pj_v = (next(pid for c, pid in ev if c == x) for x in (i, j))
         if pi_u == pi_v or pj_u == pj_v:
             raise ValueError("join needs four distinct paths")
-        touched = ((i, pi_u), (i, pi_v), (j, pj_u), (j, pj_v))
-        old = [self.colls[c][pid] for c, pid in touched]
-        merged_i = tuple(_orient_end(old[0], u) + _orient_start(old[1], v))
-        merged_j = tuple(_orient_end(old[2], u) + _orient_start(old[3], v))
-        # untouched paths are unchanged, so the touched ones carry the XOR
-        if odd_edges((merged_i, merged_j)) != odd_edges(old):
+        coll_i, coll_j = self.colls[i], self.colls[j]
+        old = (coll_i[pi_u], coll_i[pi_v], coll_j[pj_u], coll_j[pj_v])
+        merged_i = _orient_end(old[0], u) + _orient_start(old[1], v)
+        merged_j = _orient_end(old[2], u) + _orient_start(old[3], v)
+        far = [p[-1] if p[0] == shared else p[0] for p, shared in zip(old, (u, v, u, v))]
+        # Orienting a path keeps its edge multiset, so each merged path holds
+        # the edges of its two old paths plus the one seam edge between them,
+        # and the untouched paths are unchanged.  The XOR of the system thus
+        # changes by {seam_i} ^ {seam_j}: it is unchanged exactly when the two
+        # seams are one edge, and both being uv makes that edge the doubled
+        # edge the move adds.  Each merged path must also end at the far ends
+        # of its old paths, whose entries it takes over.
+        si, sj = len(old[0]), len(old[2])
+        if (merged_i[0], merged_i[si - 1], merged_i[si], merged_i[-1]) != (
+            far[0], u, v, far[1]
+        ) or (merged_j[0], merged_j[sj - 1], merged_j[sj], merged_j[-1]) != (
+            far[2], u, v, far[3]
+        ):
             raise InternalInvariantError("join changed the XOR of the system")
-        for c, pid in touched:
-            self._remove(c, pid)
-        self._add(i, merged_i)
-        self._add(j, merged_j)
-        self.require_well_distributed("join", (i, j))
+        # u and v (type II, ending only the four old paths) vanish, and each
+        # far end passes from its old path to the merged one: no vertex
+        # changes type, and no old path was lonely, having a type II end.
+        ni = self._join_through(i, pi_u, pi_v, u, v, merged_i)
+        nj = self._join_through(j, pj_u, pj_v, u, v, merged_j)
+        self._settle(i, ni, merged_i)
+        self._settle(j, nj, merged_j)
+        self.require_well_distributed("join")
 
     def insert(self, u: int, ci: int, cr: int) -> tuple[int, int, int]:
         """Subdivide the terminal edge at u of the collection-ci path and
@@ -196,41 +285,132 @@ class _EndpointIndex:
             raise ValueError("insert needs a type II endpoint")
         if self.k < 3:
             raise ValueError("insert needs at least three collections")
-        cols = {c for c, _ in ents}
-        if ci not in cols:
+        (c1, p1), (c2, p2) = ents
+        if ci == c1:
+            pi, cj = p1, c2
+        elif ci == c2:
+            pi, cj = p2, c1
+        else:
             raise ValueError(f"collection {ci} has no path ending at {u}")
-        cj = (cols - {ci}).pop()
         if cr in (ci, cj):
             raise ValueError("receiving collection must differ from both sharers")
         if 2 * len(self.colls[cr]) == self.ones[cr]:
             raise ValueError("receiving collection has no type II endpoint")
-        pi = next(p for c, p in ents if c == ci)
         path = self.colls[ci][pi]
-        z = path[1] if path[0] == u else path[-2]
         z_new = self.next_vertex
-        replaced = (z_new,) + path[1:] if path[0] == u else path[:-1] + (z_new,)
-        piece = (z_new, u)
-        expected = odd_edges((path,)) ^ {
-            norm_edge(z, u), norm_edge(z, z_new), norm_edge(z_new, u)
-        }
-        if odd_edges((replaced, piece)) != expected:
+        # Trading the terminal edge uz for zz' and donating z'u changes the
+        # XOR by exactly {uz, zz', z'u} when u is an end of the path and z its
+        # neighbour there; at an inner u the edge dropped would not be uz.
+        if path[0] == u:
+            z, replaced = path[1], (z_new,) + path[1:]
+        elif path[-1] == u:
+            z, replaced = path[-2], path[:-1] + (z_new,)
+        else:
             raise InternalInvariantError("insert changed the XOR inconsistently")
-        self._replace(ci, pi, replaced)
-        self._add(cr, piece)
+        # u stays type II with the piece in place of the path, and the new z'
+        # is type II too; the path keeps its far end, so no type changes.
+        piece = self._new_id(cr)
+        self.colls[ci][pi] = replaced
+        self.colls[cr][piece] = (z_new, u)
+        self._retarget(u, (ci, pi), (cr, piece))
+        self.ends[z_new] = [(ci, pi), (cr, piece)]
+        self.total += 1
         self.next_vertex += 1
-        self.require_well_distributed("insert", (ci, cr))
+        self._settle(cr, piece, (z_new, u))
+        if len(self.colls[cr]) > self.size_key[cr]:
+            self.size_key[cr] = len(self.colls[cr])
+            heappush(self.by_size, (-self.size_key[cr], cr))
+        self.require_well_distributed("insert")
         return z, u, z_new
+
+    def meet(self, u: int, v: int) -> int:
+        """Merge the components of one forest ending at u and v through a new
+        vertex w, and end a witness path of another forest at w on each
+        side; returns w.  The collections are forests here, so a vertex may
+        end any number of paths; the type counts are left as they were."""
+        at_u = {c: pid for c, pid in self.ends.get(u, ())}
+        at_v = {c: pid for c, pid in self.ends.get(v, ())}
+        hosts = [c for c in at_u if c in at_v and at_u[c] != at_v[c]]
+        if not hosts:
+            raise ValueError(
+                f"{u} and {v} are not endpoints of two components of one forest"
+            )
+        i = min(hosts)
+        others_u = sorted(e for e in self.ends[u] if e[0] != i)
+        others_v = sorted(e for e in self.ends[v] if e[0] != i)
+        pick = next(
+            ((e1, e2) for e1 in others_u for e2 in others_v if e1 != e2), None
+        )
+        if pick is None:
+            raise ValueError("no two distinct witness paths meet u and v")
+        (j1, q1), (j2, q2) = pick
+        w = self.next_vertex
+        # Each new path is old paths, whole or reversed, plus edges at w:
+        # merged gains uw and wv, and the witness paths gain uw and wv between
+        # them (glued into one path when they share a forest).  Each edge at w
+        # then lands twice and cancels, so the XOR is unchanged exactly when
+        # every seam reads u-w-v, u-w or v-w.  A new path must also keep the
+        # far ends of its old paths, whose entries it takes over.
+        old_u, old_v = self.colls[i][at_u[i]], self.colls[i][at_v[i]]
+        wit_u, wit_v = self.colls[j1][q1], self.colls[j2][q2]
+        far = [
+            p[-1] if p[0] == x else p[0]
+            for p, x in ((old_u, u), (old_v, v), (wit_u, u), (wit_v, v))
+        ]
+        merged = _orient_end(old_u, u) + (w,) + _orient_start(old_v, v)
+        s = len(old_u)
+        ok = (merged[0], merged[-1]) == (far[0], far[1])
+        ok = ok and merged[s - 1 : s + 2] == (u, w, v)
+        if j1 == j2:
+            glued = _orient_end(wit_u, u) + (w,) + _orient_start(wit_v, v)
+            s = len(wit_u)
+            ok = ok and (glued[0], glued[-1]) == (far[2], far[3])
+            ok = ok and glued[s - 1 : s + 2] == (u, w, v)
+        else:
+            new_u = _orient_end(wit_u, u) + (w,)
+            new_v = _orient_end(wit_v, v) + (w,)
+            ok = ok and new_u[0] == far[2] and new_u[-2:] == (u, w)
+            ok = ok and new_v[0] == far[3] and new_v[-2:] == (v, w)
+        if not ok:
+            raise InternalInvariantError("meet changed the XOR of the forests")
+        self._join_through(i, at_u[i], at_v[i], u, v, merged, first=True)
+        if j1 == j2:
+            self._join_through(j1, q1, q2, u, v, glued)
+        else:
+            self.colls[j1][q1], self.colls[j2][q2] = new_u, new_v
+            self._drop(u, (j1, q1))
+            self._drop(v, (j2, q2))
+            self.ends[w] = [(j1, q1), (j2, q2)]
+        self.next_vertex = w + 1
+        return w
+
+    def _join_through(
+        self, c: int, pu: int, pv: int, u: int, v: int, merged: Path, first: bool = False
+    ) -> int:
+        """Replace the paths pu (ending at u) and pv (ending at v) of
+        collection c by `merged`, which runs between their far ends; returns
+        its id."""
+        new = self._new_id(c, first)
+        del self.colls[c][pu], self.colls[c][pv]
+        self.colls[c][new] = merged
+        self.total -= 1
+        self._retarget(merged[0], (c, pu), (c, new))
+        self._retarget(merged[-1], (c, pv), (c, new))
+        self._drop(u, (c, pu))
+        self._drop(v, (c, pv))
+        return new
 
 
 def _terminal_edge(p: Path, v: int) -> Edge:
     return norm_edge(p[1], v) if p[0] == v else norm_edge(p[-2], v)
 
 
-def classify_endpoints(sys: PathSystem) -> dict[int, str]:
-    """Map endpoint -> 'I' | 'II'; raises if the system is not valid.
+def _validated_index(sys: PathSystem) -> _EndpointIndex:
+    """Index of a valid path system; raises ValueError at the first defect.
 
-    Also enforces vertex-disjointness within each collection and the
-    "appears in no other path" clause for type II endpoints.
+    Checks every clause: nonempty collections of simple paths that are
+    vertex-disjoint within each collection, and every endpoint either type
+    I or type II, a type II endpoint lying inside no path.
     """
     inner: set[int] = set()  # interior vertices of all paths
     for ci, coll in enumerate(sys.collections):
@@ -238,18 +418,16 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
             raise ValueError(f"collection {ci} is empty")
         seen: set[int] = set()
         for p in coll:
-            if len(p) < 2 or len(set(p)) != len(p):
+            vs = set(p)
+            if len(p) < 2 or len(vs) != len(p):
                 raise ValueError(f"invalid path {p}")
-            if seen & set(p):
+            if not seen.isdisjoint(vs):
                 raise ValueError(f"collection {ci} paths share vertices")
-            seen |= set(p)
+            seen |= vs
             inner.update(p[1:-1])
     idx = _EndpointIndex(sys)
-    types: dict[int, str] = {}
     for v, ents in idx.ends.items():
-        if len(ents) == 1:
-            types[v] = "I"
-        elif len(ents) == 2:
+        if len(ents) == 2:
             (c1, p1), (c2, p2) = ents
             if c1 == c2:
                 raise ValueError(f"endpoint {v} shared within one collection")
@@ -259,23 +437,33 @@ def classify_endpoints(sys: PathSystem) -> dict[int, str]:
                 raise ValueError(f"endpoint {v} has identical terminal edges")
             if v in inner:
                 raise ValueError(f"type II endpoint {v} appears inside another path")
-            types[v] = "II"
-        else:
+        elif len(ents) > 2:
             raise ValueError(f"endpoint {v} belongs to {len(ents)} paths")
-    return types
+    return idx
+
+
+def classify_endpoints(sys: PathSystem) -> dict[int, str]:
+    """Map endpoint -> 'I' | 'II'; raises if the system is not valid.
+
+    Also enforces vertex-disjointness within each collection and the
+    "appears in no other path" clause for type II endpoints.
+    """
+    return {
+        v: "I" if len(ents) == 1 else "II"
+        for v, ents in _validated_index(sys).ends.items()
+    }
 
 
 def is_well_distributed(sys: PathSystem) -> bool:
-    classify_endpoints(sys)
-    return _EndpointIndex(sys).well_distributed(range(sys.k))
+    return _validated_index(sys).well_distributed()
 
 
-def _orient_end(p: Path, v: int) -> list[int]:
-    return list(p) if p[-1] == v else list(p)[::-1]
+def _orient_end(p: Path, v: int) -> Path:
+    return p if p[-1] == v else p[::-1]
 
 
-def _orient_start(p: Path, v: int) -> list[int]:
-    return list(p) if p[0] == v else list(p)[::-1]
+def _orient_start(p: Path, v: int) -> Path:
+    return p if p[0] == v else p[::-1]
 
 
 def join(sys: PathSystem, u: int, v: int) -> PathSystem:
@@ -285,10 +473,8 @@ def join(sys: PathSystem, u: int, v: int) -> PathSystem:
     four distinct paths; the total path count drops by two and the edge-set
     XOR is unchanged.
     """
-    classify_endpoints(sys)
-    idx = _EndpointIndex(sys)
+    idx = _validated_index(sys)
     idx.join(u, v)
-    idx.require_well_distributed("join", range(idx.k))
     return idx.system()
 
 
@@ -301,10 +487,8 @@ def insert(
     Returns the new system and the subdivision event (z, u, z') recording
     that edge zu became z-z'-u.  The path count grows by one.
     """
-    classify_endpoints(sys)
-    idx = _EndpointIndex(sys)
+    idx = _validated_index(sys)
     event = idx.insert(u, ci, cr)
-    idx.require_well_distributed("insert", range(idx.k))
     return idx.system(), event
 
 
@@ -318,18 +502,19 @@ def reduce_system(
     count strictly decreases.  Returns the final system and the list of
     subdivision events performed by inserts.
 
-    The moves run on one endpoint index and check only the paths they touch;
-    the whole system is validated once at entry and once at exit.
+    The index that validates the input is the one the moves run on; each
+    move checks only the paths it touches, and the whole system is validated
+    and its XOR compared once at entry and once at exit.
     """
-    if not is_well_distributed(sys):
+    idx = _validated_index(sys)
+    if not idx.well_distributed():
         raise ValueError("system is not well-distributed")
     start = sys.parity_edges()
-    idx = _EndpointIndex(sys)
     events: list[tuple[int, int, int]] = []
     try:
         _reduce(idx, events)
         out = idx.system()
-        ok = is_well_distributed(out)
+        ok = _validated_index(out).well_distributed()
     except ValueError as exc:  # the input was valid, so this is a bug
         raise InternalInvariantError(f"reduction failed: {exc}") from exc
     if not ok:
@@ -349,19 +534,19 @@ def _reduce(idx: _EndpointIndex, events: list[tuple[int, int, int]]) -> None:
         guard += 1
         if guard > budget:
             raise InternalInvariantError("reduction failed to make progress")
-        sizes = [len(c) for c in idx.colls]
-        c1 = sizes.index(max(sizes))
+        c1 = idx.largest()
         coll1 = idx.colls[c1]
 
-        if sizes[c1] >= 3:
-            p_idx = next(t for t, p in coll1.items() if two(p[0]) and two(p[-1]))
-            pp_idx, u = next(
-                (t, e)
-                for t, p in coll1.items()
-                if t != p_idx
-                for e in (p[0], p[-1])
-                if two(e)
-            )
+        if len(coll1) >= 3:
+            p_idx = idx.first_both_two(c1)
+            # well-distributedness leaves no path here with two type I ends,
+            # so the first path other than P has a type II end
+            first, second = idx.first_two(c1)
+            pp_idx = second if first == p_idx else first
+            pp = coll1[pp_idx]
+            u = pp[0] if two(pp[0]) else pp[-1]
+            if not two(u):
+                raise InternalInvariantError(f"path {pp} has two type I ends")
             v, v2 = coll1[p_idx][0], coll1[p_idx][-1]
             q_ent = idx.other(u, (c1, pp_idx))
             r_ent = idx.other(v, (c1, p_idx))
@@ -386,7 +571,8 @@ def _reduce(idx: _EndpointIndex, events: list[tuple[int, int, int]]) -> None:
                         v = v2  # then the path at v2 ends at a type II vertex
                 idx.join(u, v)
         else:
-            (a, p), (b, pp) = islice(coll1.items(), 2)
+            a, b = idx.first_two(c1)
+            p, pp = coll1[a], coll1[b]
             u = p[0] if two(p[0]) else p[-1]
             v = pp[0] if two(pp[0]) else pp[-1]
             x = p[-1] if u == p[0] else p[0]
@@ -452,7 +638,9 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
     per color; the j-th odd vertex gets one stub of color j mod k and pairs
     for the rest.  Every middle edge takes a color distinct from its first
     stub (and from both stubs when k >= 3), so classes decompose into paths
-    of length at most two and monochromatic cycles are impossible.
+    of length at most two and monochromatic cycles are impossible.  Each
+    pick is the r-th colour of range(k) minus one or two colours, found by
+    index arithmetic in O(1).
     """
     _, _, odd = degree_profile(g)
     odd_rank = {v: r for r, v in enumerate(odd)}
@@ -467,11 +655,11 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
         if len(stubs) % 2 == 1:
             s = odd_rank[v] % k
             color[stubs[0]] = s
-            palette = [c for c in range(k) if c != s]
             rest = stubs[1:]
             for t in range(len(rest) // 2):
-                color[rest[2 * t]] = palette[t]
-                color[rest[2 * t + 1]] = palette[t]
+                c = t if t < s else t + 1  # the t-th colour other than s
+                color[rest[2 * t]] = c
+                color[rest[2 * t + 1]] = c
         else:
             for t in range(len(stubs) // 2):
                 color[stubs[2 * t]] = t
@@ -481,12 +669,17 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
         ch = chains[e]
         cu = color[norm_edge(ch[0], ch[1])]
         cv = color[norm_edge(ch[2], ch[3])]
-        pool = [c for c in range(k) if c not in (cu, cv)]
-        if pool:
-            cm = pool[spread % len(pool)]
+        lo, hi = min(cu, cv), max(cu, cv)
+        free = k - 1 - (lo != hi)  # colours other than cu and cv
+        if free:
+            cm = spread % free  # the cm-th free colour: step over lo, then hi
             spread += 1
+            if cm >= lo:
+                cm += 1
+                if lo != hi and cm >= hi:
+                    cm += 1
         else:
-            cm = next(c for c in range(k) if c != cu)
+            cm = 1 if cu == 0 else 0
         color[norm_edge(ch[1], ch[2])] = cm
     return color
 
@@ -519,10 +712,10 @@ def _reduced_topological_paths(
     chains, n_total = _subdivide3(g)
     color = _color_tripled_edges(g, chains, k)
     collections = _classes_to_collections(color, k, n_total)
-    sys = PathSystem(collections, n_total)
-    if not is_well_distributed(sys):
-        raise InternalInvariantError("subdivision coloring is not well-distributed")
-    sys, events = reduce_system(sys)
+    try:
+        sys, events = reduce_system(PathSystem(collections, n_total))
+    except ValueError as exc:  # only the entry check raises ValueError
+        raise InternalInvariantError("subdivision coloring is not well-distributed") from exc
     edge2orig: dict[Edge, Edge] = {}
     for e, ch in chains.items():
         for t in range(len(ch) - 1):
@@ -543,7 +736,11 @@ def _apply_subdivision(
     he = norm_edge(z, u)
     orig = edge2orig.pop(he)
     ch = chains[orig]
-    t = next(i for i in range(len(ch) - 1) if {ch[i], ch[i + 1]} == {z, u})
+    t = ch.index(z)  # chains are simple, so zu starts at t or t - 1
+    if t + 1 == len(ch) or ch[t + 1] != u:
+        t -= 1
+        if t < 0 or ch[t] != u:
+            raise InternalInvariantError(f"edge {he} is not in its chain")
     ch.insert(t + 1, z_new)
     edge2orig[norm_edge(z, z_new)] = orig
     edge2orig[norm_edge(z_new, u)] = orig
@@ -633,12 +830,12 @@ def two_path_cover_la2(
         raise ValueError("graph has no edges")
     comps = _check_forest_partition(g, [forest1, forest2])
     sys = PathSystem([comps[0], comps[1]], g.n)
-    types = classify_endpoints(sys)
-    if any(t == "I" for t in types.values()):
+    idx = _validated_index(sys)
+    if any(idx.ones):
         raise ValueError("decomposition has an unmatched endpoint")
-    idx = _EndpointIndex(sys)
     while len(idx.colls[0]) > 1:
-        (a, p), (_, pp) = islice(idx.colls[0].items(), 2)
+        a, b = idx.first_two(0)
+        p, pp = idx.colls[0][a], idx.colls[0][b]
         v, u = p[0], p[-1]
         q_ent = idx.other(v, (0, a))
         q = idx.colls[q_ent[0]][q_ent[1]]
@@ -651,77 +848,20 @@ def two_path_cover_la2(
     return TwoPaths(p, q)
 
 
-@dataclass
-class ForestState:
-    """Path components of k linear forests, plus the id allocator for the
-    isolated vertices the meet move creates."""
-
-    forests: list[list[Path]]
-    next_vertex: int
-
-    def parity_edges(self) -> set[Edge]:
-        return odd_edges(p for coll in self.forests for p in coll)
-
-
-def _forest_entry(
-    state: ForestState, v: int, skip: tuple[int, int] | None = None
-) -> list[tuple[int, int]]:
-    out = []
-    for j, coll in enumerate(state.forests):
-        for pj, q in enumerate(coll):
-            if v in (q[0], q[-1]) and (j, pj) != skip:
-                out.append((j, pj))
-    return out
-
-
-def meet(state: ForestState, u: int, v: int) -> ForestState:
+def meet(state: PathSystem, u: int, v: int) -> PathSystem:
     """Merge two components of one forest through a new isolated vertex.
 
-    u and v must be endpoints of two distinct components P, P' of the same
-    forest, each also met there by a path from some other forest (distinct
-    ones for u and v); the new vertex w receives edges uw and vw, each
-    landing in two forests so the XOR is unchanged, and P-w-P' becomes one
-    component.
+    The collections of `state` are linear forests.  u and v must be
+    endpoints of two distinct components P, P' of the same forest, each
+    also met there by a path from some other forest (distinct ones for u and
+    v); the new vertex w receives edges uw and vw, each landing in two
+    forests so the XOR is unchanged, and P-w-P' becomes one component, the
+    first of its forest.
     """
-    host = None
-    for j, coll in enumerate(state.forests):
-        pu = [t for t, q in enumerate(coll) if u in (q[0], q[-1])]
-        pv = [t for t, q in enumerate(coll) if v in (q[0], q[-1])]
-        if pu and pv and pu[0] != pv[0]:
-            host = (j, pu[0], pv[0])
-            break
-    if host is None:
-        raise ValueError(
-            f"{u} and {v} are not endpoints of two components of one forest"
-        )
-    i, t1, t2 = host
-    others_u = [e for e in _forest_entry(state, u) if e[0] != i]
-    others_v = [e for e in _forest_entry(state, v) if e[0] != i]
-    pick = next(
-        ((e1, e2) for e1 in others_u for e2 in others_v if e1 != e2), None
-    )
-    if pick is None:
-        raise ValueError("no two distinct witness paths meet u and v")
-    (j1, q1), (j2, q2) = pick
-    p1, p2 = state.forests[i][t1], state.forests[i][t2]
-    w = state.next_vertex
     before = state.parity_edges()
-    forests = [list(c) for c in state.forests]
-    merged = tuple(_orient_end(p1, u) + [w] + _orient_start(p2, v))
-    forests[i] = [c for t, c in enumerate(forests[i]) if t not in (t1, t2)]
-    forests[i].insert(0, merged)
-    if j1 == j2:
-        # both witness paths live in one forest: its components also glue
-        glued = tuple(
-            _orient_end(forests[j1][q1], u) + [w] + _orient_start(forests[j2][q2], v)
-        )
-        forests[j1] = [
-            c for t, c in enumerate(forests[j1]) if t not in (q1, q2)
-        ] + [glued]
-    else:
-        forests[j1][q1] = tuple(_orient_end(forests[j1][q1], u) + [w])
-        forests[j2][q2] = tuple(_orient_end(forests[j2][q2], v) + [w])
-    out = ForestState(forests, w + 1)
+    idx = _EndpointIndex(state)
+    idx.meet(u, v)
+    out = idx.system()
     if out.parity_edges() != before:
         raise InternalInvariantError("meet changed the XOR of the forests")
     return out
@@ -733,35 +873,40 @@ def iso_cover_from_forests(
     """Turn a k-linear-forest partition of an even-degree graph into a
     k-path odd-cover over g plus added isolated vertices.
 
-    Repeatedly merges two components of one forest through a fresh vertex
-    (the meet move): the two new edges each land in two forests and cancel.
+    Repeatedly merges the first two components of the first forest with
+    several through a fresh vertex (the meet move): the two new edges each
+    land in two forests and cancel.
     """
     if not g.is_even():
         raise ValueError("forest stitching needs all degrees even")
-    state = ForestState(_check_forest_partition(g, forests), g.n)
+    idx = _EndpointIndex(PathSystem(_check_forest_partition(g, forests), g.n))
+    i = 0
     while True:
-        i = next((t for t, c in enumerate(state.forests) if len(c) > 1), None)
-        if i is None:
+        # meets never grow a forest, so the first one with several
+        # components only moves forward
+        while i < idx.k and len(idx.colls[i]) == 1:
+            i += 1
+        if i == idx.k:
             break
-        p1, p2 = state.forests[i][0], state.forests[i][1]
+        a, b = idx.first_two(i)
 
-        def anchored(path: Path) -> list[tuple[int, tuple[int, int]]]:
+        def anchored(path: Path) -> list[tuple[int, Entry]]:
             return [
                 (end, e)
                 for end in (path[0], path[-1])
-                for e in _forest_entry(state, end)
+                for e in sorted(idx.ends[end])
                 if e[0] != i
             ]
 
         u, v = next(
             (uu, vv)
-            for uu, e1 in anchored(p1)
-            for vv, e2 in anchored(p2)
+            for uu, e1 in anchored(idx.colls[i][a])
+            for vv, e2 in anchored(idx.colls[i][b])
             if e1 != e2
         )
-        state = meet(state, u, v)
-    members = [coll[0] for coll in state.forests]
-    target = Graph(state.next_vertex, g.edges)
+        idx.meet(u, v)
+    members = [next(iter(coll.values())) for coll in idx.colls]
+    target = Graph(idx.next_vertex, g.edges)
     cover = OddCover(target, members, "path")
     report = verify_cover(cover)
     if not report.valid or cover.count != len(forests):
@@ -851,8 +996,8 @@ def cycle_top_cover(
             z_new = nxt
             nxt += 1
             _apply_subdivision(chains, edge2orig, z, u, z_new)
-            shortened = tuple([z_new] + side[1:])
-            extended = tuple([z_new, u] + _orient_start(paths[pv], v))
+            shortened = (z_new,) + side[1:]
+            extended = (z_new, u) + _orient_start(paths[pv], v)
             cycles_out.append(base)
             keep = [
                 p for t, p in enumerate(paths) if t not in (base_i, pu, pv)

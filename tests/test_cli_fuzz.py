@@ -1,4 +1,4 @@
-"""Malformed graph input through ``cli.main``: always exit 1 or 2, never 3.
+"""Malformed input through ``cli.main``: always exit 1 or 2, never 3.
 
 Each drawn input is broken by construction, so no verb may accept it: a bad
 header, a token that is not an integer, an edge outside the universe, a
@@ -6,10 +6,12 @@ self-loop, a repeated edge, a wrong edge count, bytes that are not UTF-8, or
 a graph6 string cut short, padded, or holding a byte outside its alphabet.
 A parse failure is bad input (exit 1) and an unreadable file an I/O error
 (exit 2); exit 3 or a traceback would mean an exception escaped the mapping.
+A witness for ``verify`` that is not shaped like one is bad input too.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -144,3 +146,52 @@ def test_unreadable_input_exits_2(tmp_path):
         for path in (tmp_path / "missing", tmp_path):  # absent, and a directory
             code, err = run_main([*verb, str(path), "-o", str(tmp_path / "out")])
             assert code == 2 and err.startswith("io error: ") and "Traceback" not in err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "kind", "members"]), inner, max_size=3),
+    max_leaves=12,
+)
+BAD_WITNESSES = (
+    '{"members": 5}',
+    "[1,2]",
+    '"str"',
+    '{"members": [null]}',
+    '{"members": [[0, {}]]}',
+    '{"members": "01"}',
+    '{"members": [[0, 1.5]]}',
+    '{"members": [[0, true]]}',
+    '{"members": [], "n": [3]}',
+    '{"members": [], "kind": ["path"]}',
+    "null",
+)
+
+
+def run_verify(tmp, witness_text):
+    graph = os.path.join(tmp, "graph")
+    with open(graph, "w") as fh:
+        fh.write("3 2\n0 1\n1 2\n")
+    witness = os.path.join(tmp, "witness.json")
+    with open(witness, "w") as fh:
+        fh.write(witness_text)
+    return run_main(["verify", graph, witness, "-o", os.path.join(tmp, "out")])
+
+
+def test_wrongly_shaped_witness_exits_1():
+    with tempfile.TemporaryDirectory() as tmp:
+        for text in BAD_WITNESSES:
+            code, err = run_verify(tmp, text)
+            assert code == 1, (text, code, err)
+            assert err.startswith("invalid input: ") and "Traceback" not in err
+
+
+@SETTINGS
+@given(JSON)
+def test_arbitrary_witness_json_never_exits_3(doc):
+    # a well-formed witness that does not cover the graph also exits 1
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_verify(tmp, json.dumps(doc))
+        assert code in (0, 1), (doc, code, err)
+        assert "Traceback" not in err

@@ -5,19 +5,21 @@ Only correctness and counts are asserted, never wall time.
 
 import random
 
-from oddcover.core import Graph, degree_profile, norm_edge, verify_cover
+from oddcover.core import Graph, degree_profile, lower_bound, norm_edge, verify_cover
 from oddcover.families import gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
+from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
 
-def hamiltonian_union(n, k, seed):
-    """Union of k edge-disjoint random Hamiltonian cycles on n vertices.
+def hamiltonian_cycles(n, k, seed):
+    """k edge-disjoint random Hamiltonian cycles on n vertices, as vertex orders.
 
     Each cycle is a shuffled vertex order; a position whose closing edge is
     already used is swapped with a random one until no edge repeats.
     """
     rng = random.Random(seed)
     used = set()
+    orders = []
     for _ in range(k):
         order = rng.sample(range(n), n)
         while True:
@@ -28,7 +30,36 @@ def hamiltonian_union(n, k, seed):
                 j = rng.randrange(n)
                 order[i], order[j] = order[j], order[i]
         used.update(norm_edge(order[i - 1], order[i]) for i in range(n))
-    return Graph(n, used)
+        orders.append(order)
+    return orders
+
+
+def hamiltonian_union(n, k, seed):
+    """Union of k edge-disjoint random Hamiltonian cycles on n vertices."""
+    orders = hamiltonian_cycles(n, k, seed)
+    return Graph(n, [norm_edge(o[i - 1], o[i]) for o in orders for i in range(n)])
+
+
+def hamiltonian_forests(n, seed):
+    """Two edge-disjoint Hamiltonian cycles split into three linear forests:
+    every fifth edge of each cycle moves to the third forest, so each vertex
+    has at most one edge of it per cycle."""
+    forests = [[], [], []]
+    for c, order in enumerate(hamiltonian_cycles(n, 2, seed)):
+        for i in range(n):
+            forests[2 if i % 5 == 0 else c].append(norm_edge(order[i - 1], order[i]))
+    return Graph(n, [e for f in forests for e in f]), forests
+
+
+def gnm(n, m, seed):
+    """m distinct edges drawn as uniform vertex pairs."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add(norm_edge(u, v))
+    return Graph(n, edges)
 
 
 def test_cycle_odd_cover_six_regular_20000():
@@ -45,3 +76,29 @@ def test_path_odd_cover_sparse_8000_meets_v_odd_half():
     assert v_odd // 2 == 1990
     cover = path_odd_cover(g)
     assert verify_cover(cover).valid and cover.count == v_odd // 2
+
+
+# The path-system moves once rescanned whole collections (and `meet` whole
+# forests) per move, which made these three rows quadratic.
+
+
+def test_cycle_top_cover_three_cycles_10000():
+    g = hamiltonian_union(10_000, 3, seed=4)
+    h, cover, chains = cycle_top_cover(g)
+    assert verify_cover(cover).valid and cover.count == 3
+    assert h.n - g.n == 95_840 and len(chains) == g.m
+
+
+def test_topological_cover_sparse_10000():
+    g = gnm(10_000, 15_000, seed=1)
+    h, cover, chains = topological_cover(g)
+    assert lower_bound(g) == 2480
+    assert verify_cover(cover).valid and cover.count == 2480
+    assert h.n - g.n == 59_814
+
+
+def test_iso_cover_from_forests_8000():
+    g, forests = hamiltonian_forests(8000, seed=1)
+    cover = iso_cover_from_forests(g, forests)
+    assert verify_cover(cover).valid and cover.count == 3
+    assert cover.target.n - g.n == 2934  # one new vertex per meet

@@ -15,7 +15,6 @@ from oddcover.solver import (
     disjoint_cycles_of,
     iso_cover_general,
     path_odd_cover,
-    peel_odd_path,
     peel_odd_paths,
     solve_budget,
 )
@@ -28,22 +27,22 @@ def K(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def test_peel_odd_path_whole_path():
+def test_peel_odd_paths_whole_path():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    p, rest = peel_odd_path(g)
-    assert p in ((0, 1, 2, 3), (3, 2, 1, 0))
+    paths, rest = peel_odd_paths(g, 1)
+    assert paths in ([(0, 1, 2, 3)], [(3, 2, 1, 0)])
     assert rest.m == 0
 
 
-def test_peel_odd_path_star():
-    # center last so the two smallest odd ids are leaves: leaf-to-leaf path
+def test_peel_odd_paths_star():
+    # all four vertices are odd: one path joins two of them, two stay odd
     g = Graph(4, [(3, 0), (3, 1), (3, 2)])
-    p, rest = peel_odd_path(g)
-    assert p == (0, 3, 1) and rest.m == 1
+    (p,), rest = peel_odd_paths(g, 1)
+    assert {p[0], p[-1]} <= {0, 1, 2, 3} and rest.m == g.m - (len(p) - 1)
     assert degree_profile(rest)[1] == 2
 
 
-def test_peel_odd_path_drops_two():
+def test_peel_odd_paths_one_drops_two():
     rng = rng_for("peel-odd")
     done = 0
     while done < 60:
@@ -51,14 +50,14 @@ def test_peel_odd_path_drops_two():
         _, v_odd, _ = degree_profile(g)
         if v_odd < 2:
             continue
-        _, rest = peel_odd_path(g)
+        _, rest = peel_odd_paths(g, 1)
         assert degree_profile(rest)[1] == v_odd - 2
         done += 1
 
 
-def test_peel_odd_path_requires_odd_vertices():
+def test_peel_odd_paths_requires_odd_vertices():
     with pytest.raises(ValueError):
-        peel_odd_path(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+        peel_odd_paths(Graph(3, [(0, 1), (1, 2), (0, 2)]), 1)
 
 
 def test_peel_odd_paths_split_the_odd_set():

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -13,8 +15,8 @@ from oddcover.core import (
 )
 from oddcover.families import eulerian_random, gnp
 from oddcover.oracle import exact_linear_forests
+from oddcover.solver import iso_cover_general
 from oddcover.systems import (
-    ForestState,
     PathSystem,
     classify_endpoints,
     cycle_iso_cover,
@@ -32,6 +34,7 @@ from oddcover.systems import (
 )
 
 from conftest import random_graph, rng_for, xor_members
+from test_scale import hamiltonian_forests, hamiltonian_union
 
 
 def square_system():
@@ -58,11 +61,21 @@ def test_classify_rejects_identical_terminal_edges():
         classify_endpoints(bad)
 
 
+def test_well_distributed_checks_each_clause():
+    three_ends = PathSystem([[(0, 1), (2, 3), (4, 5)], [(1, 6, 2)], [(5, 7, 8)]], 9)
+    two_and_none = PathSystem([[(0, 1), (2, 3)], [(1, 5, 2)]], 6)
+    lonely = PathSystem([[(0, 1), (2, 3)], [(1, 5, 6)], [(0, 7, 8)]], 9)
+    for sys in (three_ends, two_and_none, lonely):
+        classify_endpoints(sys)  # valid, but not well-distributed
+        assert not is_well_distributed(sys)
+    assert is_well_distributed(PathSystem([[(0, 1, 2)], [(2, 3, 4)], [(4, 5, 0)]], 6))
+
+
 def test_join_merges_square_into_two_paths():
     sys = square_system()
     before = sys.parity_edges()
     out = join(sys, 1, 3)
-    assert out.total_paths() == 2
+    assert sum(len(c) for c in out.collections) == 2
     assert out.parity_edges() == before
     # the doubled edge 1-3 cancels but appears in both merged paths
     for coll in out.collections:
@@ -74,6 +87,15 @@ def test_join_rejects_type_I():
     sys = PathSystem([[(0, 1), (2, 3)], [(1, 2)]], 4)
     with pytest.raises(ValueError):
         join(sys, 0, 2)
+
+
+def test_join_rejects_leaving_a_lonely_path_beside_others():
+    # joining at 1 and 2 merges (0, 1) and (2, 3) into a path with two type I
+    # ends, while (4, 5) stays in the same collection
+    sys = PathSystem([[(0, 1), (2, 3), (4, 5)], [(1, 6, 4), (2, 7, 8)], [(5, 9, 10)]], 11)
+    assert is_well_distributed(sys)
+    with pytest.raises(ValueError, match="well-distributedness"):
+        join(sys, 1, 2)
 
 
 def test_insert_bookkeeping():
@@ -96,16 +118,16 @@ def test_insert_rejects_receiver_among_sharers():
 def test_reduce_square_system():
     sys = square_system()
     out, events = reduce_system(sys)
-    assert out.total_paths() == 2 and not events
+    assert sum(len(c) for c in out.collections) == 2 and not events
     members = [c[0] for c in out.collections]
     assert xor_members(members) == square_system().parity_edges()
 
 
 def test_reduction_validates_whole_system_a_constant_number_of_times(monkeypatch):
     # the moves check only the paths they touch; the whole system is
-    # classified at entry and exit, however many joins run in between
+    # validated at entry and exit, however many joins run in between
     counts = {"classify": 0, "join": 0}
-    real_classify = systems.classify_endpoints
+    real_classify = systems._validated_index
     real_join = systems._EndpointIndex.join
 
     def classify(sys):
@@ -116,12 +138,186 @@ def test_reduction_validates_whole_system_a_constant_number_of_times(monkeypatch
         counts["join"] += 1
         return real_join(self, u, v)
 
-    monkeypatch.setattr(systems, "classify_endpoints", classify)
+    monkeypatch.setattr(systems, "_validated_index", classify)
     monkeypatch.setattr(systems._EndpointIndex, "join", join)
     h, cover, chains = topological_cover(gnp(100, 0.1, seed=1))
     assert verify_cover(cover).valid
     assert counts["join"] > 100
-    assert counts["classify"] <= 4
+    assert counts["classify"] == 2
+
+
+def seeded_index(g):
+    """The endpoint index _reduced_topological_paths reduces for g."""
+    k = lower_bound(g)
+    chains, n_total = systems._subdivide3(g)
+    color = systems._color_tripled_edges(g, chains, k)
+    collections = systems._classes_to_collections(color, k, n_total)
+    return systems._EndpointIndex(PathSystem(collections, n_total))
+
+
+def recount(idx):
+    """From scratch: every endpoint's entries, and per collection its type I
+    ends and its paths with two of them."""
+    ones, lonely = [0] * idx.k, [0] * idx.k
+    ends = {}
+    for c, paths in enumerate(idx.colls):
+        for pid, p in paths.items():
+            ends.setdefault(p[0], []).append((c, pid))
+            ends.setdefault(p[-1], []).append((c, pid))
+    for c, paths in enumerate(idx.colls):
+        for p in paths.values():
+            t0, t1 = len(ends[p[0]]) == 1, len(ends[p[-1]]) == 1
+            ones[c] += t0 + t1
+            lonely[c] += t0 and t1
+    return {v: sorted(e) for v, e in ends.items()}, ones, lonely
+
+
+def check_ends(idx):
+    ends, _, _ = recount(idx)
+    assert {v: sorted(e) for v, e in idx.ends.items()} == ends
+    assert idx.total == sum(len(paths) for paths in idx.colls)
+
+
+def check_index(idx):
+    check_ends(idx)
+    _, ones, lonely = recount(idx)
+    assert (idx.ones, idx.lonely) == (ones, lonely)
+    wd = max(ones) <= 2 and not (2 in ones and 0 in ones) and not any(
+        n and len(paths) > 1 for n, paths in zip(lonely, idx.colls)
+    )
+    assert idx.well_distributed() == wd
+
+
+def checked_moves(monkeypatch, check, names=("join", "insert", "meet"), moves=None):
+    moves = [] if moves is None else moves
+    for name in names:
+        real = getattr(systems._EndpointIndex, name)
+
+        def move(self, *args, real=real, name=name):
+            out = real(self, *args)
+            moves.append(name)
+            check(self)
+            return out
+
+        monkeypatch.setattr(systems._EndpointIndex, name, move)
+    return moves
+
+
+def test_index_counters_match_a_recount_after_every_move(monkeypatch):
+    # join and insert keep the counts exact; meet, on forests, keeps the ends
+    moves = checked_moves(monkeypatch, check_index, ("join", "insert"))
+    checked_moves(monkeypatch, check_ends, ("meet",), moves)
+    rng = rng_for("index-recount")
+    graphs = [
+        gnp(rng.randrange(6, 30), rng.choice([0.15, 0.3]), rng.randrange(10**6))
+        for _ in range(25)
+    ]
+    graphs += [eulerian_random(rng.randrange(6, 16), seed=rng.randrange(10**6)) for _ in range(15)]
+    graphs += [hamiltonian_union(60, 3, seed=2)]
+    reduced = 0
+    for g in graphs:
+        if is_exceptional_family(g) or lower_bound(g) < 2:
+            continue
+        idx = seeded_index(g)
+        check_index(idx)
+        before = len(moves)
+        systems._reduce(idx, [])
+        assert len(moves) > before and idx.total == idx.k
+        reduced += 1
+    assert reduced >= 30
+    g, forests = hamiltonian_forests(200, seed=1)
+    iso_cover_from_forests(g, forests)
+    assert moves.count("meet") > 50
+
+
+def test_reduction_picks_match_a_scan(monkeypatch):
+    # the lazy heaps pick what a scan of the collections in order would
+    def scan(idx):
+        sizes = [len(c) for c in idx.colls]
+        c1 = sizes.index(max(sizes))
+        assert idx.largest() == c1
+        coll = idx.colls[c1]
+        if len(coll) >= 2:
+            assert list(idx.first_two(c1)) == list(coll)[:2]
+        if len(coll) >= 3:
+            two = idx.is_two
+            first = next(t for t, p in coll.items() if two(p[0]) and two(p[-1]))
+            assert idx.first_both_two(c1) == first
+
+    moves = checked_moves(monkeypatch, scan)
+    for g in (gnp(60, 0.1, seed=5), eulerian_random(14, seed=3), hamiltonian_union(80, 3, seed=1)):
+        systems._reduce(seeded_index(g), [])
+    assert len(moves) > 100
+
+
+class CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_endpoint_work_per_move_does_not_grow_with_m(monkeypatch):
+    # each move and each well-distributedness check reads a constant number
+    # of endpoints, however long the collections are (k = 3 here)
+    moves = checked_moves(monkeypatch, lambda idx: None, ("join", "insert"))
+    per_move = []
+    for n in (100, 1600):
+        idx = seeded_index(hamiltonian_union(n, 3, seed=4))
+        idx.ends = CountingDict(idx.ends)
+        before = len(moves)
+        systems._reduce(idx, [])
+        per_move.append(idx.ends.lookups / (len(moves) - before))
+    assert per_move[1] < 40 and per_move[1] < 1.5 * per_move[0], per_move
+
+
+def subdivision_witness(h, cover, chains):
+    return [h.n, cover.members, sorted([list(e), ch] for e, ch in chains.items())]
+
+
+def test_witness_bytes_pinned():
+    # sha256 of seeded outputs of every caller of join, insert and meet,
+    # recorded before the moves ran on counters and heaps
+    rng = rng_for("pin-systems")
+    top, cyc, iso = [], [], []
+    while len(top) < 40:
+        g = random_graph(rng.randrange(4, 22), rng.choice([0.15, 0.3, 0.5]), rng)
+        if not is_exceptional_family(g) and lower_bound(g) >= 2:
+            top.append(subdivision_witness(*topological_cover(g)))
+    top.append(subdivision_witness(*topological_cover(gnp(120, 0.05, seed=3))))
+    trial = 0
+    while len(cyc) < 40:
+        trial += 1
+        g = eulerian_random(rng.randrange(5, 16), seed=900 + trial)
+        if degree_profile(g)[0] >= 4:
+            cyc.append(subdivision_witness(*cycle_top_cover(g)))
+    cyc.append(subdivision_witness(*cycle_top_cover(hamiltonian_union(200, 3, seed=4))))
+    while len(iso) < 60:
+        n = rng.randrange(5, 11)
+        if len(iso) % 2:
+            g = random_graph(n, rng.choice([0.3, 0.5]), rng)
+        else:
+            g = eulerian_random(n, seed=rng.randrange(10**6))
+        if g.m:
+            cover, branch = iso_cover_general(g)
+            iso.append([branch, cover.target.n, cover.members])
+    assert sum(row[0] == "linear-arboricity" for row in iso) == 38  # meets ran
+    forest = [
+        iso_cover_from_forests(*hamiltonian_forests(300, seed)).members for seed in (1, 2, 3)
+    ]
+    digests = {
+        name: hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        for name, rows in (("top", top), ("cycle_top", cyc), ("iso", iso), ("forest", forest))
+    }
+    assert digests == {
+        "top": "54ae4546d67a8db565eb8252d312c7d48126ce9a251b462a6f8aa87f3fe7f9cc",
+        "cycle_top": "177c76ce69c7a28d518dfb6f2c48a968e05f72ced4534d569d089255ddb89876",
+        "iso": "fbab1cfd3bed1e0085cb9f17d54378ba9ef0308c56fbf510a242dbd39cd596db",
+        "forest": "9c39589b1804fe19ffabae557cc0e9a433718cd04638ab49ee744fff9eac3981",
+    }
 
 
 def test_topological_cover_gnp_400():
@@ -241,18 +437,18 @@ def test_linear_forest_components_validation():
 
 def test_meet_merges_components_through_new_vertex():
     # C4 split into opposite edge pairs; one meet fixes both forests
-    state = ForestState([[(0, 1), (2, 3)], [(1, 2), (3, 0)]], 4)
+    state = PathSystem([[(0, 1), (2, 3)], [(1, 2), (3, 0)]], 4)
     before = state.parity_edges()
     out = meet(state, 1, 3)
     assert out.next_vertex == 5
-    assert all(len(coll) == 1 for coll in out.forests)
-    merged = out.forests[0][0]
+    assert all(len(coll) == 1 for coll in out.collections)
+    merged = out.collections[0][0]
     assert 4 in merged and {merged[0], merged[-1]} == {0, 2}
     assert out.parity_edges() == before  # uw, vw each land in two forests
 
 
 def test_meet_rejects_bad_endpoints():
-    state = ForestState([[(0, 1), (2, 3)], [(1, 2, 0, 3)]], 4)
+    state = PathSystem([[(0, 1), (2, 3)], [(1, 2, 0, 3)]], 4)
     with pytest.raises(ValueError):
         meet(state, 0, 1)  # two ends of one component
     with pytest.raises(ValueError):
