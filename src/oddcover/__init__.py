@@ -52,6 +52,7 @@ from .solver import (
     cycle_odd_cover,
     iso_cover_general,
     path_odd_cover,
+    peel_odd_path,
     peel_odd_paths,
     solve_budget,
 )

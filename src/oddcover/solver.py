@@ -43,6 +43,38 @@ from .twopaths import (
 )
 
 
+def peel_odd_path(g: Graph) -> tuple[tuple[int, ...], Graph]:
+    """Remove one path joining two odd-degree vertices; v_odd drops by 2.
+
+    Breadth-first from the smallest odd vertex to the smallest odd vertex
+    reachable from it (one always exists in its component).
+    """
+    _, v_odd, odd = degree_profile(g)
+    if v_odd == 0:
+        raise ValueError("graph has no odd-degree vertices")
+    u = odd[0]
+    adj = g.adjacency()
+    parent: dict[int, int | None] = {u: None}
+    queue = [u]
+    i = 0
+    while i < len(queue):
+        x = queue[i]
+        i += 1
+        for w in adj[x]:
+            if w not in parent:
+                parent[w] = x
+                queue.append(w)
+    targets = [v for v in odd[1:] if v in parent]
+    if not targets:
+        raise InternalInvariantError("odd vertex isolated from all others")
+    v = min(targets)
+    walk = [v]
+    while parent[walk[-1]] is not None:
+        walk.append(parent[walk[-1]])
+    walk.reverse()
+    return tuple(walk), g.remove_edges(path_edges(walk))
+
+
 def peel_odd_paths(g: Graph, p: int) -> tuple[list[tuple[int, ...]], Graph]:
     """Remove p edge-disjoint paths, each joining two odd-degree vertices;
     v_odd drops by 2p.

@@ -116,9 +116,7 @@ class _EndpointIndex:
         for ents in ends.values():
             if len(ents) == 1:
                 self.ones[ents[0][0]] += 1
-        self.counts_ok = max(self.ones, default=0) <= 2 and not (
-            2 in self.ones and 0 in self.ones
-        )
+        self.counts_ok = _counts_ok(self.ones)
         self.lonely = [
             sum(len(ends[p[0]]) == 1 and len(ends[p[-1]]) == 1 for p in paths.values())
             for paths in self.colls
@@ -401,6 +399,12 @@ class _EndpointIndex:
         return new
 
 
+def _counts_ok(ones: list[int]) -> bool:
+    """The count clauses of well-distributedness, given each collection's
+    number of type I endpoints."""
+    return max(ones, default=0) <= 2 and not (2 in ones and 0 in ones)
+
+
 def _terminal_edge(p: Path, v: int) -> Edge:
     return norm_edge(p[1], v) if p[0] == v else norm_edge(p[-2], v)
 
@@ -514,10 +518,16 @@ def reduce_system(
     try:
         _reduce(idx, events)
         out = idx.system()
-        ok = _validated_index(out).well_distributed()
+        types = classify_endpoints(out)
     except ValueError as exc:  # the input was valid, so this is a bug
         raise InternalInvariantError(f"reduction failed: {exc}") from exc
-    if not ok:
+    # k paths in k nonempty collections: each collection is one path, so of
+    # the three clauses only the counts can fail
+    ones = [
+        sum(types[v] == "I" for p in coll for v in (p[0], p[-1]))
+        for coll in out.collections
+    ]
+    if not _counts_ok(ones):
         raise InternalInvariantError("reduced system is not well-distributed")
     for z, u, z_new in events:
         start ^= {norm_edge(z, u), norm_edge(z, z_new), norm_edge(z_new, u)}

@@ -3,63 +3,12 @@
 Only correctness and counts are asserted, never wall time.
 """
 
-import random
-
-from oddcover.core import Graph, degree_profile, lower_bound, norm_edge, verify_cover
+from oddcover.core import degree_profile, lower_bound, verify_cover
 from oddcover.families import gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
-
-def hamiltonian_cycles(n, k, seed):
-    """k edge-disjoint random Hamiltonian cycles on n vertices, as vertex orders.
-
-    Each cycle is a shuffled vertex order; a position whose closing edge is
-    already used is swapped with a random one until no edge repeats.
-    """
-    rng = random.Random(seed)
-    used = set()
-    orders = []
-    for _ in range(k):
-        order = rng.sample(range(n), n)
-        while True:
-            bad = [i for i in range(n) if norm_edge(order[i - 1], order[i]) in used]
-            if not bad:
-                break
-            for i in bad:
-                j = rng.randrange(n)
-                order[i], order[j] = order[j], order[i]
-        used.update(norm_edge(order[i - 1], order[i]) for i in range(n))
-        orders.append(order)
-    return orders
-
-
-def hamiltonian_union(n, k, seed):
-    """Union of k edge-disjoint random Hamiltonian cycles on n vertices."""
-    orders = hamiltonian_cycles(n, k, seed)
-    return Graph(n, [norm_edge(o[i - 1], o[i]) for o in orders for i in range(n)])
-
-
-def hamiltonian_forests(n, seed):
-    """Two edge-disjoint Hamiltonian cycles split into three linear forests:
-    every fifth edge of each cycle moves to the third forest, so each vertex
-    has at most one edge of it per cycle."""
-    forests = [[], [], []]
-    for c, order in enumerate(hamiltonian_cycles(n, 2, seed)):
-        for i in range(n):
-            forests[2 if i % 5 == 0 else c].append(norm_edge(order[i - 1], order[i]))
-    return Graph(n, [e for f in forests for e in f]), forests
-
-
-def gnm(n, m, seed):
-    """m distinct edges drawn as uniform vertex pairs."""
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add(norm_edge(u, v))
-    return Graph(n, edges)
+from conftest import gnm, hamiltonian_forests, hamiltonian_union
 
 
 def test_cycle_odd_cover_six_regular_20000():

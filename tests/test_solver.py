@@ -15,6 +15,7 @@ from oddcover.solver import (
     disjoint_cycles_of,
     iso_cover_general,
     path_odd_cover,
+    peel_odd_path,
     peel_odd_paths,
     solve_budget,
 )
@@ -25,6 +26,39 @@ from conftest import rng_for
 
 def K(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def test_peel_odd_path_whole_path():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    p, rest = peel_odd_path(g)
+    assert p in ((0, 1, 2, 3), (3, 2, 1, 0))
+    assert rest.m == 0
+
+
+def test_peel_odd_path_star():
+    # center last so the two smallest odd ids are leaves: leaf-to-leaf path
+    g = Graph(4, [(3, 0), (3, 1), (3, 2)])
+    p, rest = peel_odd_path(g)
+    assert p == (0, 3, 1) and rest.m == 1
+    assert degree_profile(rest)[1] == 2
+
+
+def test_peel_odd_path_drops_two():
+    rng = rng_for("peel-odd")
+    done = 0
+    while done < 60:
+        g = gnp(rng.randrange(4, 25), 0.3, seed=rng.randrange(10_000))
+        _, v_odd, _ = degree_profile(g)
+        if v_odd < 2:
+            continue
+        _, rest = peel_odd_path(g)
+        assert degree_profile(rest)[1] == v_odd - 2
+        done += 1
+
+
+def test_peel_odd_path_requires_odd_vertices():
+    with pytest.raises(ValueError):
+        peel_odd_path(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_peel_odd_paths_whole_path():
@@ -38,7 +72,9 @@ def test_peel_odd_paths_star():
     # all four vertices are odd: one path joins two of them, two stay odd
     g = Graph(4, [(3, 0), (3, 1), (3, 2)])
     (p,), rest = peel_odd_paths(g, 1)
-    assert {p[0], p[-1]} <= {0, 1, 2, 3} and rest.m == g.m - (len(p) - 1)
+    odd = degree_profile(g)[2]
+    assert p[0] != p[-1] and p[0] in odd and p[-1] in odd
+    assert rest.edges == g.edges - set(path_edges(p)) and rest.m == g.m - (len(p) - 1)
     assert degree_profile(rest)[1] == 2
 
 

@@ -33,8 +33,7 @@ from oddcover.systems import (
     two_path_cover_la2,
 )
 
-from conftest import random_graph, rng_for, xor_members
-from test_scale import hamiltonian_forests, hamiltonian_union
+from conftest import hamiltonian_forests, hamiltonian_union, random_graph, rng_for, xor_members
 
 
 def square_system():
