@@ -8,7 +8,6 @@ relaxations that allow subdividing G or adding isolated vertices.
 """
 
 from .core import (
-    EdgeVector,
     Graph,
     InternalInvariantError,
     OddCover,
@@ -35,6 +34,7 @@ from .families import (
 )
 from .io import emit_edge_list, parse_edge_list, parse_graph6, witness_json
 from .oracle import (
+    EdgeVector,
     arboricity_density,
     bound_gap_scan,
     enumerate_cycles,

@@ -102,13 +102,8 @@ def _cmd_top_cover(args) -> int:
 def _cmd_iso_cover(args) -> int:
     g = _load_graph(args)
     cover, branch = iso_cover_general(g)
-    bounds = {
-        "lower": lower_bound(g) if g.n > 12 else lower_bound(g, with_density=True),
-        "upper": cover.count,
-        "method": f"iso/{branch}",
-    }
     extra = {"added_vertices": cover.target.n - g.n}
-    return _emit_cover(args, cover, bounds, extra)
+    return _emit_cover(args, cover, _bounds(g, cover.count, f"iso/{branch}"), extra)
 
 
 def _cmd_exact(args) -> int:

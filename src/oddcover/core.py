@@ -11,10 +11,7 @@ and `verify_cover` take parities with sets.
 Conventions:
   Vertices are ints 0..n-1.  Edges are normalized tuples (u, v) with u < v.
   Paths and cycles are tuples of distinct vertex ids (a cycle does not
-  repeat its first vertex at the end).  `EdgeVector` and `edge_index` give
-  a bitset view of the C(n, 2) pairs that only feeds the exact oracle: pair
-  (u, v) with u < v maps to bit u*n - u*(u+1)/2 + (v - u - 1), so oracle
-  witnesses are bit-exact across implementations.
+  repeat its first vertex at the end).
 """
 
 from __future__ import annotations
@@ -33,48 +30,6 @@ def norm_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
-
-
-def edge_index(n: int, u: int, v: int) -> int:
-    """Bit position of edge (u, v) in the C(n, 2)-bit edge vector."""
-    u, v = norm_edge(u, v)
-    if v >= n:
-        raise ValueError(f"edge ({u},{v}) outside universe of size {n}")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Subset of the C(n, 2) vertex pairs, stored as an int bitset."""
-
-    n: int
-    bits: int = 0
-
-    def __xor__(self, other: "EdgeVector") -> "EdgeVector":
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: n={self.n} vs n={other.n}")
-        return EdgeVector(self.n, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "EdgeVector":
-        bits = 0
-        for u, v in edges:
-            bits ^= 1 << edge_index(n, u, v)
-        return cls(n, bits)
-
-    def edges(self) -> list[Edge]:
-        """The pairs whose bits are set, in bit order."""
-        out = []
-        i = 0
-        for u in range(self.n - 1):
-            for v in range(u + 1, self.n):
-                if self.bits >> i & 1:
-                    out.append((u, v))
-                i += 1
-        return out
 
 
 class Graph:
@@ -132,9 +87,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def edge_vector(self) -> EdgeVector:
-        return EdgeVector.from_edges(self.n, self.edges)
-
     def xor(self, edges: Iterable[Edge]) -> "Graph":
         """Graph whose edge set is the symmetric difference with `edges`."""
         es = set(self.edges)
@@ -152,9 +104,6 @@ class Graph:
         if missing:
             raise ValueError(f"edges not present: {sorted(missing)}")
         return Graph(self.n, self.edges - drop)
-
-    def with_extra_vertices(self, extra: int) -> "Graph":
-        return Graph(self.n + extra, self.edges)
 
     def is_even(self) -> bool:
         """All degrees even (the structural prerequisite for cycle covers)."""
@@ -259,10 +208,6 @@ class OddCover:
     @property
     def count(self) -> int:
         return len(self.members)
-
-    def member_edges(self, i: int) -> list[Edge]:
-        vs = self.members[i]
-        return cycle_edges(vs) if self.kind == "cycle" else path_edges(vs)
 
 
 @dataclass

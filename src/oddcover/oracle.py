@@ -13,30 +13,77 @@ walking each half back to 0 through the distance table.
 
 Engines are cached per (n, kind): the table is target-independent, so
 exhaustive sweeps over many graphs on the same universe reuse one search.
+
+The search runs on a bitset view of the C(n, 2) vertex pairs: `edge_index`
+maps pair (u, v) with u < v to bit u*n - u*(u+1)/2 + (v - u - 1), and
+`EdgeVector` holds a pair subset as an int, so oracle witnesses are
+bit-exact across implementations.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
     Edge,
-    EdgeVector,
     Graph,
     InternalInvariantError,
     OddCover,
     degree_profile,
-    edge_index,
     lower_bound,
     max_subgraph_density,
+    norm_edge,
     verify_cover,
 )
 
 MAX_ORACLE_N = 7
+
+
+def edge_index(n: int, u: int, v: int) -> int:
+    """Bit position of edge (u, v) in the C(n, 2)-bit edge vector."""
+    u, v = norm_edge(u, v)
+    if v >= n:
+        raise ValueError(f"edge ({u},{v}) outside universe of size {n}")
+    return u * n - u * (u + 1) // 2 + (v - u - 1)
+
+
+@dataclass(frozen=True)
+class EdgeVector:
+    """Subset of the C(n, 2) vertex pairs, stored as an int bitset."""
+
+    n: int
+    bits: int = 0
+
+    def __xor__(self, other: "EdgeVector") -> "EdgeVector":
+        if self.n != other.n:
+            raise ValueError(f"universe mismatch: n={self.n} vs n={other.n}")
+        return EdgeVector(self.n, self.bits ^ other.bits)
+
+    def __bool__(self) -> bool:
+        return self.bits != 0
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "EdgeVector":
+        bits = 0
+        for u, v in edges:
+            bits ^= 1 << edge_index(n, u, v)
+        return cls(n, bits)
+
+    def edges(self) -> list[Edge]:
+        """The pairs whose bits are set, in bit order."""
+        out = []
+        i = 0
+        for u in range(self.n - 1):
+            for v in range(u + 1, self.n):
+                if self.bits >> i & 1:
+                    out.append((u, v))
+                i += 1
+        return out
 
 
 def _path_mask(n: int, seq: Sequence[int]) -> int:
@@ -169,7 +216,7 @@ def _solve(g: Graph, kind: str, max_k: int | None) -> tuple[int, OddCover] | Non
         return (0, OddCover(g, [], kind)) if g.m == 0 else None
     budget = max_k if max_k is not None else max(1, g.m)
     eng = _engine(g.n, kind)
-    target = g.edge_vector().bits
+    target = EdgeVector.from_edges(g.n, g.edges).bits
     res = eng.solve(target, budget)
     if res is None:
         return None
@@ -210,7 +257,7 @@ def exact_p2_iso(
         raise ValueError(f"padding would exceed n = {MAX_ORACLE_N}")
     best: tuple[int, OddCover] | None = None
     for pad in range(extra + 1):
-        res = exact_p2(g.with_extra_vertices(pad), max_k)
+        res = exact_p2(Graph(g.n + pad, g.edges), max_k)
         if res is not None and (best is None or res[0] < best[0]):
             best = res
     return best

@@ -33,13 +33,12 @@ from .systems import iso_cover_from_forests
 from .twopaths import (
     Cycle,
     TwoPaths,
-    _path_with_edge,
-    _replace_edge_with_walk,
     choose_integrable_pair,
     cover_cycles,
     integrate_four_edges,
     integrate_one_edge,
     integrate_two_edges,
+    splice_stand_ins,
 )
 
 
@@ -301,11 +300,7 @@ def _cover_cycles_and_paths(
     res = integrate_two_edges(cycles, fps[0], fps[1])
     if not isinstance(res, TwoPaths):
         raise InternalInvariantError("loose-path closing hit the obstruction")
-    out = [list(res.p), list(res.q)]
-    for fp, walk in zip(fps, paths):
-        hit = _path_with_edge(out, fp)
-        out[hit] = _replace_edge_with_walk(out[hit], fp, list(walk))
-    return TwoPaths(tuple(out[0]), tuple(out[1]))
+    return splice_stand_ins(res, zip(fps, paths))
 
 
 def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:

@@ -94,8 +94,7 @@ def _all_edges(cycles: Sequence[Cycle]) -> set[Edge]:
 
 def _arcs_between(cycle: Cycle, a: int, b: int) -> tuple[list[int], list[int]]:
     """Both arcs of the cycle from a to b, each as a vertex list a..b."""
-    pos = {v: i for i, v in enumerate(cycle)}
-    ia, ib, ell = pos[a], pos[b], len(cycle)
+    ia, ib, ell = cycle.index(a), cycle.index(b), len(cycle)
     fwd = [cycle[(ia + t) % ell] for t in range((ib - ia) % ell + 1)]
     bwd = [cycle[(ia - t) % ell] for t in range((ia - ib) % ell + 1)]
     return fwd, bwd
@@ -142,30 +141,27 @@ def _checked(
     return TwoPaths(*paths)
 
 
-def _path_with_edge(paths: Sequence[Sequence[int]], edge: Edge) -> int:
-    """Index of the unique path containing the edge."""
-    hits = []
-    e = set(edge)
-    for i, p in enumerate(paths):
-        if any({p[t], p[t + 1]} == e for t in range(len(p) - 1)):
-            hits.append(i)
-    if len(hits) != 1:
-        raise InternalInvariantError(f"edge {edge} found in {len(hits)} paths")
-    return hits[0]
+def splice_stand_ins(
+    paths: Sequence[Sequence[int]],
+    stand_ins: Iterable[tuple[Edge, Sequence[int]]],
+) -> TwoPaths:
+    """Expand each stand-in edge u-v into its u..v walk.
 
-
-def _replace_edge_with_walk(
-    path: Sequence[int], edge: Edge, walk: Sequence[int]
-) -> list[int]:
-    """Substitute a u-v edge of the path by a u..v walk with fresh interior."""
-    e = set(edge)
-    for i in range(len(path) - 1):
-        if {path[i], path[i + 1]} == e:
-            w = list(walk)
-            if w[0] != path[i]:
-                w.reverse()
-            return list(path[:i]) + w + list(path[i + 2 :])
-    raise InternalInvariantError(f"edge {edge} not on path {list(path)}")
+    A stand-in is a normalized edge that replaced a walk with fresh interior
+    while the two paths were built; it must lie on exactly one of them.
+    """
+    out = [list(p) for p in paths]
+    for edge, walk in stand_ins:
+        hits = [j for j, p in enumerate(out) if edge in path_edges(p)]
+        if len(hits) != 1:
+            raise InternalInvariantError(
+                f"stand-in edge {edge} lies on {len(hits)} paths"
+            )
+        p = out[hits[0]]
+        i = path_edges(p).index(edge)
+        w = list(walk) if walk[0] == p[i] else list(walk)[::-1]
+        out[hits[0]] = p[:i] + w + p[i + 2 :]
+    return TwoPaths(*map(tuple, out))
 
 
 def _insert_detour(path: Sequence[int], edge: Edge, arc: Sequence[int]) -> list[int]:
@@ -327,11 +323,7 @@ def _minus_one(cycles: Sequence[Cycle], f: Edge) -> tuple[list[int], list[int]]:
         iw = walk.index(w)
         return walk[: iw + 1], walk[iw:]
     rest = [c for i, c in enumerate(cycles) if i != j]
-    p, q = _plus_one(rest, f, None)
-    paths = [p, q]
-    hit = _path_with_edge(paths, f)
-    paths[hit] = _replace_edge_with_walk(paths[hit], f, walk)
-    return paths[0], paths[1]
+    return splice_stand_ins(_plus_one(rest, f, None), [(f, walk)])
 
 
 def _cycle_minus_edge(cycle: Cycle, f: Edge) -> list[int]:
@@ -358,14 +350,14 @@ def integrate_one_edge(
     if not cs:
         raise ValueError("empty cycle set")
     f = norm_edge(*f)
-    if f in _all_edges(cs):
+    edges = _all_edges(cs)
+    if f in edges:
         if z is not None:
             raise ValueError("common endpoint is not supported when f lies on a cycle")
         p, q = _minus_one(cs, f)
-        target = _all_edges(cs) - {f}
     else:
         p, q = _plus_one(cs, f, z)
-        target = _all_edges(cs) | {f}
+    target = edges ^ {f}
     allowed = {v for c in cs for v in c} | set(f)
     return _checked(p, q, target, allowed)
 
@@ -383,63 +375,54 @@ def is_exceptional_k4(
     endpoints in alternating (crossing) cyclic order, and at most one of the
     four demarcated arcs has an internal vertex.
     """
-    cs = _prepare(cycles)
     f1, f2 = norm_edge(*f1), norm_edge(*f2)
     if set(f1) & set(f2):
         raise ValueError("edges share a vertex")
-    if len(cs) < 2:
-        return False
-    pts = set(f1) | set(f2)
-    for cyc in cs:
-        if pts <= set(cyc):
-            order, arcs = _demarcation(cyc, f1, f2)
-            crossing = {order[0], order[2]} in (set(f1), set(f2))
-            internals = sum(1 for a in arcs if len(a) > 2)
-            return crossing and internals <= 1
-    return False
+    return _k4_obstruction(_prepare(cycles), f1, f2) is not None
 
 
-def _demarcation(cyc: Cycle, f1: Edge, f2: Edge) -> tuple[list[int], list[list[int]]]:
-    """The four endpoints in cyclic order, and the four arcs between them."""
-    pos = {v: i for i, v in enumerate(cyc)}
-    order = sorted(set(f1) | set(f2), key=lambda v: pos[v])
+def _demarcation(
+    cyc: Cycle, f1: Edge, f2: Edge
+) -> tuple[list[int], list[list[int]], bool]:
+    """The four endpoints in cyclic order, the four arcs between them, and
+    whether the two edges cross (their endpoints alternate)."""
+    order = sorted(set(f1) | set(f2), key=cyc.index)
     arcs = [_arcs_between(cyc, order[t], order[(t + 1) % 4])[0] for t in range(4)]
-    return order, arcs
+    return order, arcs, {order[0], order[2]} in (set(f1), set(f2))
 
 
-def _case_all_on_one_cycle(
-    cs: list[Cycle], j: int, f1: Edge, f2: Edge
-) -> IntegrationResult:
-    cyc = cs[j]
+def _k4_obstruction(cs: Sequence[Cycle], f1: Edge, f2: Edge) -> ExceptionalCase | None:
+    """The obstruction on prepared cycles and disjoint edges, or None.
+
+    It needs a second cycle, and a cycle carrying all four endpoints
+    crosswise with at most one demarcated arc holding an internal vertex.
+    Every caller asks here, so the test and the kit cannot disagree.
+    """
+    if len(cs) < 2:
+        return None
+    pts = set(f1) | set(f2)
+    j = next((i for i, c in enumerate(cs) if pts <= set(c)), None)
+    if j is None:
+        return None
+    _, arcs, crossing = _demarcation(cs[j], f1, f2)
+    inter = tuple(len(a) - 2 for a in arcs)
+    if crossing and sum(1 for c in inter if c > 0) <= 1:
+        return ExceptionalCase(j, inter)
+    return None
+
+
+def _case_all_on_one_cycle(cs: list[Cycle], j: int, f1: Edge, f2: Edge) -> TwoPaths:
+    """All four endpoints on cycle j, off the obstruction."""
     others = [c for i, c in enumerate(cs) if i != j]
-    pts, S = _demarcation(cyc, f1, f2)
-    crossing = {pts[0], pts[2]} in (set(f1), set(f2))
+    pts, S, crossing = _demarcation(cs[j], f1, f2)
     inter = [len(a) - 2 for a in S]
 
-    if not others:
-        if crossing:
+    if crossing:
+        if not others:
             a0, a1, a2, a3 = pts
             p = S[0] + S[1][1:] + S[2][1:]
             q = [a2] + S[3][::-1] + [a1]
             return TwoPaths(tuple(p), tuple(q))
-        r = 0 if {pts[0], pts[1]} in (set(f1), set(f2)) else 1
-        b = [pts[(r + t) % 4] for t in range(4)]
-        T = [S[(r + t) % 4] for t in range(4)]
-        u1, v1, v2, u2 = b
-        r1, rv, r2, ru = T
-        z1, z2 = min(_interior(r1)), min(_interior(r2))
-        p = [u1] + _seg(r1, v1, z1) + _seg(r2, z2, u2) + [v2]
-        q = (
-            _seg(ru, u2, u1)
-            + _seg(r1, u1, z1)[1:]
-            + _seg(r2, z2, v2)
-            + _seg(rv, v2, v1)[1:]
-        )
-        return TwoPaths(tuple(p), tuple(q))
-
-    if crossing:
-        if sum(1 for c in inter if c > 0) <= 1:
-            return ExceptionalCase(j, tuple(inter))
         P, Q = _thread(others)
         for i in range(2):
             if inter[i] and inter[i + 2]:
@@ -498,25 +481,20 @@ def _case_three_on_one_cycle(
     u1 = next(v for v in f_mix if v in on)
     v1 = next(v for v in f_mix if v not in on)
     u2, v2 = f_on
-    pos = {v: i for i, v in enumerate(cyc)}
-    q3 = sorted((u1, u2, v2), key=lambda v: pos[v])
+    q3 = sorted((u1, u2, v2), key=cyc.index)
     T = {frozenset((q3[t], q3[(t + 1) % 3])): _arcs_between(cyc, q3[t], q3[(t + 1) % 3])[0] for t in range(3)}
     r2 = T[frozenset((u2, v2))]
     ru = T[frozenset((u1, u2))]
     rv = T[frozenset((u1, v2))]
     y1 = min(_interior(r2))
     rest = [c for i, c in enumerate(cs) if i != j]
-    if rest:
-        hit = _cycle_of(rest, v1)
-        if hit is not None:
-            order = [c for i, c in enumerate(rest) if i != hit] + [rest[hit]]
-            pr, qr = _thread(order, y_last=v1)
-            tail1, tail2 = pr, qr
-        else:
-            pr, qr = _thread(rest)
-            tail1, tail2 = pr + [v1], qr + [v1]
+    hit = _cycle_of(rest, v1)
+    if hit is not None:
+        order = [c for i, c in enumerate(rest) if i != hit] + [rest[hit]]
+        tail1, tail2 = _thread(order, y_last=v1)
     else:
-        tail1, tail2 = [v1], [v1]
+        pr, qr = _thread(rest)
+        tail1, tail2 = pr + [v1], qr + [v1]
     p = [u2] + _seg(r2, v2, y1) + tail1 + [u1]
     q = _seg(rv, v2, u1) + _seg(ru, u1, u2)[1:] + _seg(r2, u2, y1)[1:] + tail2
     return TwoPaths(tuple(p), tuple(q))
@@ -531,8 +509,11 @@ def _safe_common_endpoint(cs: list[Cycle], f: Edge) -> int:
     return min(w for c in cs for w in c if w not in f)
 
 
-def _case_spread(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
-    """Every cycle holds at most two of the four endpoints."""
+def _case_spread(
+    cs: list[Cycle], f1: Edge, f2: Edge, counts: list[int]
+) -> TwoPaths:
+    """Every cycle holds at most two of the four endpoints (counts[i] of
+    them on cycle i)."""
     pts = [*f1, *f2]
     off = [v for v in pts if _cycle_of(cs, v) is None]
     if off:
@@ -546,9 +527,8 @@ def _case_spread(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
         p, q = _plus_one(cs, fb, z=z)
         return TwoPaths(tuple(p + [va, ua]), tuple(q + [va]))
 
-    counts = [sum(1 for v in pts if v in c) for c in cs]
     if counts.count(2) == 2:
-        return _case_two_plus_two(cs, f1, f2)
+        return _case_two_plus_two(cs, f1, f2, counts)
 
     lone = counts.index(1)
     w = next(v for v in pts if v in cs[lone])
@@ -569,9 +549,9 @@ def _case_spread(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
     return TwoPaths(tuple(new_p + [w]), tuple(new_q))
 
 
-def _case_two_plus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
-    pts = [*f1, *f2]
-    counts = [sum(1 for v in pts if v in c) for c in cs]
+def _case_two_plus_two(
+    cs: list[Cycle], f1: Edge, f2: Edge, counts: list[int]
+) -> TwoPaths:
     j1, j2 = [i for i, c in enumerate(counts) if c == 2]
     c1, c2 = cs[j1], cs[j2]
     rest = [c for i, c in enumerate(cs) if i not in (j1, j2)]
@@ -583,12 +563,8 @@ def _case_two_plus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
         z2 = min(set(cb) - set(fb))
         p1, q1 = _plus_one([ca], fa, z=z1)  # both end at z1
         p2, q2 = _plus_one([cb], fb, z=z2)  # both end at z2
-        if rest:
-            mid_p, mid_q = _thread(rest)
-            return TwoPaths(
-                tuple(p1 + mid_p + p2[::-1]), tuple(q1 + mid_q + q2[::-1])
-            )
-        return TwoPaths(tuple(p1 + p2[::-1]), tuple(q1 + q2[::-1]))
+        mid_p, mid_q = _thread(rest)
+        return TwoPaths(tuple(p1 + mid_p + p2[::-1]), tuple(q1 + mid_q + q2[::-1]))
 
     a1 = next(v for v in f1 if v in c1)
     b1 = f1[0] if f1[1] == a1 else f1[1]
@@ -599,14 +575,11 @@ def _case_two_plus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
     arc2, arc2b = _arcs_between(c2, b2, b1)
     p2_arc, q2_arc = (arc2, arc2b) if len(arc2) > 2 else (arc2b, arc2)
     cstar = tuple(p1_arc + p2_arc)  # a1..a2, f2 jump, b2..b1, f1 closes
-    sub = _integrate_two(rest + [cstar], norm_edge(a1, a2), norm_edge(b1, b2))
+    fa, fb = norm_edge(a1, a2), norm_edge(b1, b2)
+    sub = _integrate_two(rest + [cstar], fa, fb)
     if not isinstance(sub, TwoPaths):
         raise InternalInvariantError("parallel-chord reduction hit the obstruction")
-    paths = [list(sub.p), list(sub.q)]
-    for fp, arc in ((norm_edge(a1, a2), q1_arc), (norm_edge(b1, b2), q2_arc)):
-        hit = _path_with_edge(paths, fp)
-        paths[hit] = _replace_edge_with_walk(paths[hit], fp, arc)
-    return TwoPaths(tuple(paths[0]), tuple(paths[1]))
+    return splice_stand_ins(sub, [(fa, q1_arc), (fb, q2_arc)])
 
 
 def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
@@ -634,11 +607,7 @@ def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
     sub = _integrate_two(rest, fps[0], fps[1])
     if not isinstance(sub, TwoPaths):
         raise InternalInvariantError("segment-closing reduction hit the obstruction")
-    paths = [list(sub.p), list(sub.q)]
-    for fp, seg in zip(fps, segs):
-        hit = _path_with_edge(paths, fp)
-        paths[hit] = _replace_edge_with_walk(paths[hit], fp, seg)
-    return TwoPaths(tuple(paths[0]), tuple(paths[1]))
+    return splice_stand_ins(sub, zip(fps, segs))
 
 
 def _plus_minus(cs: list[Cycle], f_in: Edge, f_out: Edge) -> TwoPaths:
@@ -685,10 +654,14 @@ def _plus_minus(cs: list[Cycle], f_in: Edge, f_out: Edge) -> TwoPaths:
     return TwoPaths(tuple(s_walk + p0 + [v2]), tuple([v1] + q0 + [v2, u2]))
 
 
-def _integrate_two(cs: list[Cycle], f1: Edge, f2: Edge) -> IntegrationResult:
+def _integrate_two(
+    cs: list[Cycle], f1: Edge, f2: Edge, edges: set[Edge] | None = None
+) -> IntegrationResult:
+    """Dispatch on where the two edges sit; `edges` is E(cs) when known."""
     if not cs:
         return TwoPaths(tuple(f1), tuple(f2))
-    edges = _all_edges(cs)
+    if edges is None:
+        edges = _all_edges(cs)
     in1, in2 = f1 in edges, f2 in edges
     if in1 and in2:
         return _minus_two(cs, f1, f2)
@@ -698,10 +671,13 @@ def _integrate_two(cs: list[Cycle], f1: Edge, f2: Edge) -> IntegrationResult:
     pts = [*f1, *f2]
     counts = [sum(1 for v in pts if v in c) for c in cs]
     if 4 in counts:
+        obstruction = _k4_obstruction(cs, f1, f2)
+        if obstruction is not None:
+            return obstruction
         return _case_all_on_one_cycle(cs, counts.index(4), f1, f2)
     if 3 in counts:
         return _case_three_on_one_cycle(cs, counts.index(3), f1, f2)
-    return _case_spread(cs, f1, f2)
+    return _case_spread(cs, f1, f2, counts)
 
 
 def integrate_two_edges(
@@ -717,10 +693,11 @@ def integrate_two_edges(
     f1, f2 = norm_edge(*f1), norm_edge(*f2)
     if set(f1) & set(f2):
         raise ValueError("edges share a vertex")
-    res = _integrate_two(cs, f1, f2)
+    edges = _all_edges(cs)
+    res = _integrate_two(cs, f1, f2, edges)
     if isinstance(res, ExceptionalCase):
         return res
-    target = _all_edges(cs) ^ {f1, f2}
+    target = edges ^ {f1, f2}
     allowed = {v for c in cs for v in c} | set(f1) | set(f2)
     return _checked(res.p, res.q, target, allowed)
 
@@ -765,7 +742,7 @@ def integrate_four_edges(
     ca, cb = _prepare(cycles_a), _prepare(cycles_b)
 
     def ok(cs: list[Cycle], i: int, j: int) -> bool:
-        return not is_exceptional_k4(cs, fs[i], fs[j])
+        return _k4_obstruction(cs, fs[i], fs[j]) is None
 
     hub = next(
         x for x in range(3) if all(ok(ca, x, y) for y in range(3) if y != x)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 from oddcover.core import Graph, cycle_edges, norm_edge, path_edges
 
@@ -50,6 +50,22 @@ def random_cycle_set(n, rng, max_cycles=3):
         cycles.append(tuple(verts[i : i + size]))
         i += size
     return cycles
+
+
+def cycle_partitions(vertices):
+    """Unordered sets of vertex-disjoint cycles using exactly `vertices`."""
+    if not vertices:
+        yield []
+        return
+    v0 = vertices[0]
+    rest = vertices[1:]
+    for size in range(2, len(rest) + 1):
+        for subset in combinations(rest, size):
+            remaining = tuple(x for x in rest if x not in subset)
+            for perm in permutations(subset):
+                if perm[0] < perm[-1]:
+                    for tail in cycle_partitions(remaining):
+                        yield [(v0,) + perm] + tail
 
 
 def hamiltonian_cycles(n, k, seed):

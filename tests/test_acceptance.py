@@ -6,7 +6,7 @@ budget is asserted directly.
 """
 
 import time
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +16,7 @@ from oddcover.core import (
     degree_profile,
     lower_bound,
     norm_edge,
+    path_edges,
     verify_cover,
 )
 from oddcover.cycles import max_degree_cycle_cover, peel_cycle_layers
@@ -35,7 +36,7 @@ from oddcover.twopaths import (
     is_exceptional_k4,
 )
 
-from conftest import all_graphs, random_graph, rng_for, xor_members
+from conftest import all_graphs, cycle_partitions, random_graph, rng_for, xor_members
 
 
 def _report(name: str, detail: str) -> None:
@@ -119,7 +120,7 @@ def test_criterion_4_separating_family_k3():
 
     cover = OddCover(g, paths, "path")
     assert verify_cover(cover).valid and cover.count == k + 1
-    used = [e for i in range(cover.count) for e in cover.member_edges(i)]
+    used = [e for p in cover.members for e in path_edges(p)]
     assert len(used) == len(set(used)) == g.m  # a genuine decomposition
 
     assert len(forests) == k
@@ -255,22 +256,6 @@ def test_criterion_8_layer_extraction():
     _report("criterion 8 (layer extraction)", "500 random Eulerian graphs clean")
 
 
-def _cycle_partitions(vertices):
-    """Unordered sets of vertex-disjoint cycles using exactly `vertices`."""
-    if not vertices:
-        yield []
-        return
-    v0 = vertices[0]
-    rest = vertices[1:]
-    for size in range(2, len(rest) + 1):
-        for subset in combinations(rest, size):
-            remaining = tuple(x for x in rest if x not in subset)
-            for perm in permutations(subset):
-                if perm[0] < perm[-1]:
-                    for tail in _cycle_partitions(remaining):
-                        yield [(v0,) + perm] + tail
-
-
 def _brute_demarcation(cycles, f1, f2):
     if len(cycles) < 2:
         return False
@@ -299,7 +284,7 @@ def test_criterion_9_kit_exhaustive():
     configs = 0
     exceptional = 0
     for c in (0, 3, 4, 5, 6, 7, 8):
-        for cset in _cycle_partitions(tuple(range(c))):
+        for cset in cycle_partitions(tuple(range(c))):
             for extra in range(0, 8 - c + 1):
                 m = c + extra
                 if m < 4:

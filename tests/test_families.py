@@ -1,6 +1,6 @@
 import pytest
 
-from oddcover.core import OddCover, degree_profile, norm_edge, verify_cover
+from oddcover.core import OddCover, degree_profile, norm_edge, path_edges, verify_cover
 from oddcover.families import (
     counterexample,
     cycles_on_path,
@@ -68,7 +68,7 @@ def test_counterexample_witnesses_verify():
         cover = OddCover(g, paths, "path")
         assert verify_cover(cover).valid and cover.count == k + 1
         # the path witness is a decomposition: edges are disjoint
-        used = [e for i in range(cover.count) for e in cover.member_edges(i)]
+        used = [e for p in cover.members for e in path_edges(p)]
         assert len(used) == len(set(used)) == g.m
         flat = [e for f in forests for e in f]
         assert len(flat) == g.m and set(flat) == g.edges

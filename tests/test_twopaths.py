@@ -1,6 +1,10 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 
-from oddcover.core import norm_edge
+from oddcover.core import Graph, InternalInvariantError, norm_edge
+from oddcover.solver import iso_cover_general
 from oddcover.twopaths import (
     ExceptionalCase,
     ExceptionalEndpointError,
@@ -12,9 +16,10 @@ from oddcover.twopaths import (
     integrate_one_edge,
     integrate_two_edges,
     is_exceptional_k4,
+    splice_stand_ins,
 )
 
-from conftest import random_cycle_set, rng_for, xor_members
+from conftest import cycle_partitions, random_cycle_set, rng_for, xor_members
 
 
 def cycle_edges_of(cycles):
@@ -253,3 +258,115 @@ def test_four_edges_random():
         fs = [norm_edge(pts[2 * i], pts[2 * i + 1]) for i in range(4)]
         quad = integrate_four_edges(ca, cb, fs)
         assert xor_members(quad) == cycle_edges_of(ca) ^ cycle_edges_of(cb) ^ set(fs)
+
+
+def test_splice_needs_the_stand_in_on_exactly_one_path():
+    paths = TwoPaths((0, 1, 2), (3, 4))
+    # the walk is turned to meet the path in either orientation
+    for walk in ((1, 5, 2), (2, 5, 1)):
+        assert splice_stand_ins(paths, [((1, 2), walk)]) == ((0, 1, 5, 2), (3, 4))
+    with pytest.raises(InternalInvariantError, match="on 0 paths"):
+        splice_stand_ins(paths, [((0, 5), (0, 6, 5))])
+    with pytest.raises(InternalInvariantError, match="on 2 paths"):
+        splice_stand_ins(TwoPaths((0, 1, 2), (2, 1, 3)), [((1, 2), (1, 5, 2))])
+
+
+def _matchings(vertices):
+    """Perfect matchings of an even vertex tuple, as ordered edge lists."""
+    if not vertices:
+        yield []
+        return
+    a = vertices[0]
+    for b in vertices[1:]:
+        rest = tuple(v for v in vertices[1:] if v != b)
+        for tail in _matchings(rest):
+            yield [(a, b)] + tail
+
+
+def _kit_digest():
+    """sha256 over every public kit result on a fixed corpus.
+
+    The corpus is criterion 9's (cycle set, edge pair) sweep cut to six
+    vertices, with one-edge, three-edge and four-edge calls on the same cycle
+    sets; a few wider cycle sets, swept with up to two vertices off the
+    cycles, for the branches six vertices cannot reach (the K4 obstruction,
+    two chorded 4-cycles, a lone endpoint on a third cycle); and the
+    loose-path case of iso_cover_general.  Rejected calls record their exception class.
+    """
+    h = hashlib.sha256()
+
+    def put(fn, *args):
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            out = type(exc).__name__
+        h.update(f"{fn.__name__}{args!r}={out!r}\n".encode())
+
+    def sweep_pairs(cset, m):
+        for quad in combinations(range(m), 4):
+            if not set(range(sum(map(len, cset)), m)) <= set(quad):
+                continue
+            for split in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+                f1 = (quad[split[0]], quad[split[1]])
+                f2 = (quad[split[2]], quad[split[3]])
+                put(is_exceptional_k4, cset, f1, f2)
+                put(integrate_two_edges, cset, f1, f2)
+
+    csets = [cs for c in (0, 3, 4, 5, 6) for cs in cycle_partitions(tuple(range(c)))]
+    six = list(_matchings(tuple(range(6))))
+    eight = list(_matchings(tuple(range(8))))[::7]
+    for i, cset in enumerate(csets):
+        for m in range(4, 7):
+            sweep_pairs(cset, m)
+        if not cset:
+            continue
+        put(cover_cycles, cset)
+        for f in combinations(range(6), 2):
+            for z in (None, *range(6)):
+                put(integrate_one_edge, cset, f, z)
+        for fs in six:
+            put(choose_integrable_pair, cset, fs)
+            put(choose_integrable_pair, cset, fs[1:] + fs[:1])
+        for fs in eight:
+            put(integrate_four_edges, cset, csets[-1 - i], fs)
+
+    wider = [
+        [(3, 2, 1, 0), (6, 5, 4)],
+        [(0, 2, 1, 3), (4, 5, 6)],
+        [(0, 1, 2, 3, 4), (5, 6, 7)],
+        [(0, 1, 2, 3, 4, 5), (6, 7, 8)],
+        [(0, 1, 2, 3), (4, 5, 6, 7)],
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
+        [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10)],
+    ]
+    for cset in wider:
+        c = sum(map(len, cset))
+        for m in range(c, c + 3):
+            sweep_pairs(cset, m)
+        for fs in ([(0, 2), (1, 3), (4, 6)], [(0, 3), (1, 4), (5, 7)]):
+            put(choose_integrable_pair, cset, fs)
+        put(integrate_four_edges, cset, [(9, 10, 11)], [(0, 2), (1, 3), (4, 6), (5, 7)])
+        put(integrate_four_edges, [(9, 10, 11)], cset, [(0, 2), (1, 3), (4, 6), (5, 7)])
+    put(
+        integrate_four_edges,
+        [(9, 10, 11)],
+        [(0, 1, 2, 3), (4, 5, 6)],
+        [(12, 13), (0, 2), (7, 8), (1, 3)],
+    )
+
+    for edges in (
+        [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)],
+        [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)],
+        [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7)],
+    ):
+        cover, branch = iso_cover_general(Graph(9, edges))
+        h.update(f"iso{edges!r}={branch}:{cover.members!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_kit_outputs_are_pinned():
+    # one hash over the whole corpus: any change to a kit path, split or
+    # endpoint choice shows here, even when the result still verifies
+    assert _kit_digest() == (
+        "89ec019b0e41cddcb67faa5153512fe68d72d015a012fea75a15e886b55bacfa"
+    )
