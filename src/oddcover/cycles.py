@@ -13,6 +13,8 @@ each dropping the maximum degree by two.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .core import (
     Edge,
     Graph,
@@ -61,41 +63,47 @@ def balanced_orientation(g: Graph) -> list[tuple[int, int]]:
     """Orient every edge so that in-degree equals out-degree at each vertex.
 
     Requires all degrees even; each component with edges is traversed along
-    an Euler circuit (Hierholzer) and oriented in walk order.
+    an Euler circuit (Hierholzer) and oriented in walk order.  Edge i of
+    sorted(g.edges) is marked used by id, and each adjacency row lists its
+    neighbours in increasing order, so the walk is deterministic.
     """
-    if not g.is_even():
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    ids: list[list[int]] = [[] for _ in range(g.n)]
+    # Sorted edges fill every row in increasing order: first the smaller
+    # neighbours (edges (u, v) ending at v), then the larger ones.
+    for i, (u, v) in enumerate(sorted(g.edges)):
+        adj[u].append(v)
+        ids[u].append(i)
+        adj[v].append(u)
+        ids[v].append(i)
+    if any(len(row) % 2 for row in adj):
         raise ValueError("balanced orientation needs all degrees even")
-    adj = g.adjacency()
-    # Cursor into each sorted row: entries before it are used edges.
+    # Cursor into each row: entries before it are used edges.
     nxt = [0] * g.n
-    used: set[Edge] = set()
+    used = bytearray(g.m)
     arcs: list[tuple[int, int]] = []
     for start in range(g.n):
         if nxt[start] == len(adj[start]):
             continue
-        # Hierholzer with an explicit stack; sorted adjacency keeps it
-        # deterministic.
+        # Hierholzer with an explicit stack.
         stack = [start]
         walk = []
         while stack:
             v = stack[-1]
-            row = adj[v]
+            row_ids = ids[v]
+            end = len(row_ids)
             i = nxt[v]
-            while i < len(row):
-                w = row[i]
-                e = (v, w) if v < w else (w, v)
-                if e not in used:
-                    break
+            while i < end and used[row_ids[i]]:
                 i += 1
-            if i < len(row):
+            if i < end:
                 nxt[v] = i + 1
-                used.add(e)
-                stack.append(w)
+                used[row_ids[i]] = 1
+                stack.append(adj[v][i])
             else:
                 nxt[v] = i
                 walk.append(stack.pop())
         walk.reverse()
-        arcs.extend((walk[i], walk[i + 1]) for i in range(len(walk) - 1))
+        arcs.extend(zip(walk, walk[1:]))
     if len(arcs) != g.m:
         raise InternalInvariantError("Euler orientation missed edges")
     return arcs
@@ -105,9 +113,11 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
     """Maximum bipartite matching by augmenting paths; returns mate of each
     left vertex or raises if the matching is not perfect.
 
-    Hopcroft-Karp style BFS layering guides the DFS; scan order is by id, so
-    the result is deterministic.  The DFS runs on an explicit stack, so
-    augmenting paths may be as long as the graph.
+    The first phase is a greedy pass: each row in turn takes its first free
+    column, which is what a Hopcroft-Karp phase does on an empty matching.
+    Later phases use Hopcroft-Karp BFS layering to guide the DFS.  Scan
+    order is by id, so the result is deterministic.  The DFS runs on an
+    explicit stack, so augmenting paths may be as long as the graph.
     """
     INF = n_left + 1
     mate_left = [-1] * n_left
@@ -171,7 +181,14 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
         return False
 
     matched = 0
-    while bfs():
+    for u in range(n_left):
+        for v in adj[u]:
+            if mate_right[v] == -1:
+                mate_left[u] = v
+                mate_right[v] = u
+                matched += 1
+                break
+    while matched < n_left and bfs():
         for u in range(n_left):
             if mate_left[u] == -1 and augment(u):
                 matched += 1
@@ -186,13 +203,19 @@ def _layer_cycles(out: list[list[int]], deg: list[int]) -> list[Cycle]:
 
     The bipartite out/in graph has one edge per arc plus a self-edge for
     each vertex not of maximum degree; a perfect matching is a successor
-    permutation whose nontrivial orbits are the cycles.
+    permutation whose nontrivial orbits are the cycles.  Every row of `out`
+    must be sorted; it is read, never changed.
     """
     delta = max(deg)
     rows = []
     for v, arcs in enumerate(out):
-        # self-edge: v may stay off the cycles
-        rows.append(sorted(arcs) if deg[v] == delta else sorted([*arcs, v]))
+        if deg[v] == delta:
+            rows.append(arcs)
+        else:
+            # self-edge: v may stay off the cycles
+            row = arcs.copy()
+            insort(row, v)
+            rows.append(row)
     mate = _bipartite_perfect_matching(len(out), rows)
 
     cycles: list[Cycle] = []
@@ -219,9 +242,12 @@ def _layer_cycles(out: list[list[int]], deg: list[int]) -> list[Cycle]:
 
 
 def _out_arcs(g: Graph) -> list[list[int]]:
+    """Sorted out-neighbours of each vertex in a balanced orientation."""
     out: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in balanced_orientation(g):
         out[u].append(v)
+    for row in out:
+        row.sort()
     return out
 
 
@@ -235,9 +261,10 @@ def max_degree_cycle_cover(g: Graph) -> list[Cycle]:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    if not g.is_even():
+    deg = g.degrees()
+    if any(d % 2 for d in deg):
         raise ValueError("cycle extraction needs all degrees even")
-    return _layer_cycles(_out_arcs(g), g.degrees())
+    return _layer_cycles(_out_arcs(g), deg)
 
 
 def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
@@ -253,9 +280,8 @@ def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
     if any(d % 2 for d in deg):
         raise ValueError("layer peeling needs all degrees even")
     delta = max(deg, default=0)
+    # list.remove keeps each row of out sorted for the next layer.
     out = _out_arcs(g)
-    for row in out:
-        row.sort()
     left = g.m
     layers: list[list[Cycle]] = []
     while left:

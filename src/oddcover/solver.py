@@ -381,9 +381,9 @@ def cycle_odd_cover(g: Graph) -> OddCover:
     both with the same endpoint edge turns them into two cycles whose XOR is
     the layer.  A layer that is a single cycle is emitted as itself.
     """
-    if not g.is_even():
+    delta, v_odd, _ = degree_profile(g)
+    if v_odd:
         raise ValueError("cycle odd-covers need all degrees even")
-    delta, _, _ = degree_profile(g)
     members: list[tuple[int, ...]] = []
     for layer in peel_cycle_layers(g):
         if len(layer) == 1:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oddcover.core import Graph, degree_profile, norm_edge
+from oddcover.core import Graph, InternalInvariantError, degree_profile, norm_edge
 from oddcover.cycles import (
     _bipartite_perfect_matching,
     balanced_orientation,
@@ -11,9 +11,10 @@ from oddcover.cycles import (
     odd_matching,
     peel_cycle_layers,
 )
-from oddcover.families import eulerian_random
+from oddcover.families import eulerian_random, gnp
+from oddcover.solver import cycle_odd_cover, path_odd_cover
 
-from conftest import random_graph, rng_for
+from conftest import hamiltonian_union, random_graph, rng_for
 
 
 def digest(obj):
@@ -182,6 +183,24 @@ def test_layer_primitives_match_reference():
     assert digest(orientations) == "487ffb4fc36a9be3"
 
 
+def test_peel_outputs_are_pinned():
+    # Recorded before the first matching phase became a greedy pass and the
+    # Euler walk marked used edges by id.  Sparse rounds leave isolated
+    # vertices; the dense graphs need augmenting paths after the first phase.
+    out = []
+    for n in range(3, 81):
+        g = eulerian_random(n, seed=n, rounds=None if n % 3 else 2)
+        out.append((peel_cycle_layers(g), cycle_odd_cover(g).members))
+    g = hamiltonian_union(2000, 3, seed=0)
+    out.append((peel_cycle_layers(g), cycle_odd_cover(g).members))
+    for p in (0.05, 0.3, 0.6):
+        for n in range(6, 61, 6):
+            out.append(path_odd_cover(gnp(n, p, seed=n)).members)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b98e63ae1930f1bade3ac5ad990498386cf0c68fbd8a41d4329db9b0841af53e"
+    )
+
+
 def test_bipartite_matching_mates_match_reference():
     # The DFS runs on an explicit stack with the recursive scan order, so
     # the mates recorded from the recursive version are reproduced.
@@ -197,6 +216,17 @@ def test_bipartite_matching_mates_match_reference():
         ]
         mates.append(_bipartite_perfect_matching(n, adj))
     assert digest(mates) == "a9654fa7af810f5f"
+
+
+def test_bipartite_matching_boundaries():
+    assert _bipartite_perfect_matching(0, []) == []
+    # Row 1 has no column at all, so no phase can match it.
+    with pytest.raises(InternalInvariantError):
+        _bipartite_perfect_matching(3, [[0], [], [1, 2]])
+    with pytest.raises(InternalInvariantError):
+        _bipartite_perfect_matching(2, [[], []])
+    # Each row's first free column already gives a perfect matching.
+    assert _bipartite_perfect_matching(3, [[1, 2], [0, 1], [0, 2]]) == [1, 0, 2]
 
 
 def test_bipartite_matching_long_augmenting_path():

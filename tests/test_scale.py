@@ -4,7 +4,7 @@ Only correctness and counts are asserted, never wall time.
 """
 
 from oddcover.core import degree_profile, lower_bound, verify_cover
-from oddcover.families import gnp
+from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
@@ -17,6 +17,14 @@ def test_cycle_odd_cover_six_regular_20000():
     assert set(g.degrees()) == {6}
     cover = cycle_odd_cover(g)
     assert verify_cover(cover).valid and cover.count <= 6
+
+
+def test_cycle_odd_cover_dense_eulerian_600():
+    # Delta / 2 layers, each one matching over tens of thousands of arcs.
+    g = eulerian_random(600, seed=1)
+    delta, _, _ = degree_profile(g)
+    cover = cycle_odd_cover(g)
+    assert verify_cover(cover).valid and cover.count <= delta
 
 
 def test_path_odd_cover_sparse_8000_meets_v_odd_half():
