@@ -6,8 +6,8 @@ re-verify their own witness before printing it as JSON with a bounds
 object, and exit 3 if the self-check fails (a bug, not bad input).  Exit
 codes: 0 success, 1 invalid input or failed verification, 2 I/O error,
 3 internal error (an invariant breach or any other unexpected exception).
-bench emits one JSON line per instance and honors ODDCOVER_THREADS for
-parallel workers.
+bench emits one JSON line per instance, in instance order, and honors
+ODDCOVER_THREADS for parallel workers.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 import time
 
 from .core import (
+    MAX_DENSITY_N,
     Graph,
     InternalInvariantError,
     degree_bound,
@@ -57,9 +58,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _bounds(g: Graph, upper: int, method: str) -> dict:
-    with_density = g.n <= 12
     return {
-        "lower": lower_bound(g, with_density=with_density),
+        "lower": lower_bound(g, with_density=g.n <= MAX_DENSITY_N),
         "upper": upper,
         "method": method,
     }
@@ -201,16 +201,11 @@ def _cmd_bench(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_bench_instance, jobs):
                 results.append(res)
-                if not args.ordered:
-                    sys.stdout.write(json.dumps(res) + "\n")
+                sys.stdout.write(json.dumps(res) + "\n")
     else:
         for job in jobs:
             res = _bench_instance(job)
             results.append(res)
-            if not args.ordered:
-                sys.stdout.write(json.dumps(res) + "\n")
-    if args.ordered:
-        for res in sorted(results, key=lambda r: r["instance"]):
             sys.stdout.write(json.dumps(res) + "\n")
     bad = [r for r in results if not r["valid"] or r["count"] > r["bound"]]
     if bad:
@@ -275,7 +270,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--length", "--len", dest="length", type=int, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ordered", action="store_true")
     sp.set_defaults(fn=_cmd_bench)
 
     return ap

@@ -250,14 +250,17 @@ def verify_cover(cover: OddCover) -> VerificationReport:
     )
 
 
-def max_subgraph_density(g: Graph, n_limit: int = 12) -> int:
+MAX_DENSITY_N = 12  # largest n the subset scan of max_subgraph_density accepts
+
+
+def max_subgraph_density(g: Graph) -> int:
     """ceil of max over subgraphs H (v(H) >= 2) of e(H) / (v(H) - 1).
 
     The maximum of the ratio is attained on an induced subgraph, so vertex
-    subsets suffice.  Exponential in n; guarded by n_limit.
+    subsets suffice.  Exponential in n; guarded by MAX_DENSITY_N.
     """
-    if g.n > n_limit:
-        raise ValueError(f"density bound needs n <= {n_limit}, got n={g.n}")
+    if g.n > MAX_DENSITY_N:
+        raise ValueError(f"density bound needs n <= {MAX_DENSITY_N}, got n={g.n}")
     adj_bits = [0] * g.n
     for u, v in g.edges:
         adj_bits[u] |= 1 << v
@@ -285,7 +288,7 @@ def lower_bound(g: Graph, with_density: bool = False) -> int:
 
     Each path has at most two odd-degree vertices and maximum degree 2, so
     max{v_odd/2, ceil(delta/2)} paths are always necessary.  With
-    with_density=True (n <= 12) the Nash-Williams arboricity bound
+    with_density=True (n <= MAX_DENSITY_N) the Nash-Williams arboricity bound
     max_H ceil(e(H)/(v(H)-1)) is folded in as well.
     """
     delta, v_odd, _ = degree_profile(g)

@@ -19,7 +19,6 @@ from .core import (
     Edge,
     Graph,
     InternalInvariantError,
-    degree_profile,
     norm_edge,
 )
 
@@ -35,9 +34,9 @@ def odd_matching(g: Graph) -> frozenset[Edge]:
     maximum-degree endpoints (adding one elsewhere cannot raise the maximum
     past the even-rounded ceiling); vertex ids break ties.
     """
-    delta, _, odd = degree_profile(g)
     deg = g.degrees()
-    unmatched = list(odd)
+    delta = max(deg, default=0)
+    unmatched = [v for v in range(g.n) if deg[v] % 2]
     pairs = set()
     while unmatched:
         u = unmatched.pop(0)

@@ -42,6 +42,7 @@ from .core import (
 )
 
 MAX_ORACLE_N = 7
+MAX_FOREST_N = 10  # largest n the linear-forest backtracking accepts
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -178,8 +179,9 @@ class _XorSearch:
             while len(self.layers) - 1 < h and not self.exhausted:
                 self._extend()
             if len(self.layers) - 1 < h:
-                dt = int(self.dist[target])
-                return (dt, self._walk(target)) if dt != 255 and dt <= max_k else None
+                # Exhausted: any reachable target sits at depth < h and was
+                # met by an earlier k, so this one is unreachable.
+                return None
             # Every k' < k is ruled out and dist is exact to depth h, so y in
             # the smaller layer k - h meets the target iff y ^ target is at h.
             small = self.layers[k - h]
@@ -249,15 +251,13 @@ def exact_c2(g: Graph, max_k: int | None = None) -> tuple[int, OddCover] | None:
     return res
 
 
-def exact_p2_iso(
-    g: Graph, extra: int, max_k: int | None = None
-) -> tuple[int, OddCover] | None:
+def exact_p2_iso(g: Graph, extra: int) -> tuple[int, OddCover] | None:
     """Minimum of exact_p2 over g with 0..extra isolated vertices added."""
     if g.n + extra > MAX_ORACLE_N:
         raise ValueError(f"padding would exceed n = {MAX_ORACLE_N}")
     best: tuple[int, OddCover] | None = None
     for pad in range(extra + 1):
-        res = exact_p2(Graph(g.n + pad, g.edges), max_k)
+        res = exact_p2(Graph(g.n + pad, g.edges))
         if res is not None and (best is None or res[0] < best[0]):
             best = res
     return best
@@ -270,8 +270,8 @@ def exact_linear_forests(g: Graph, k: int) -> list[list[Edge]] | None:
     per-color degrees (<= 2) and per-color acyclicity (disjoint-set forests),
     with canonical color order to break class symmetry.
     """
-    if g.n > 10:
-        raise ValueError("linear-forest search capped at n <= 10")
+    if g.n > MAX_FOREST_N:
+        raise ValueError(f"linear-forest search capped at n <= {MAX_FOREST_N}")
     if k < 0:
         raise ValueError("negative class count")
     if g.m == 0:
@@ -320,14 +320,13 @@ def exact_linear_forests(g: Graph, k: int) -> list[list[Edge]] | None:
     return [sorted(f) for f in out]
 
 
-def exact_linear_arboricity(g: Graph, k_max: int | None = None) -> tuple[int, list[list[Edge]]]:
+def exact_linear_arboricity(g: Graph) -> tuple[int, list[list[Edge]]]:
     """Smallest k admitting a k-linear-forest partition, with a witness."""
     if g.m == 0:
         return 0, []
     delta, _, _ = degree_profile(g)
     lo = max(1, -(-delta // 2))
-    hi = k_max if k_max is not None else g.m
-    for k in range(lo, hi + 1):
+    for k in range(lo, g.m + 1):
         forests = exact_linear_forests(g, k)
         if forests is not None:
             return k, forests
@@ -339,16 +338,12 @@ def arboricity_density(g: Graph) -> int:
     return max_subgraph_density(g)
 
 
-def bound_gap_scan(
-    n_exhaustive: int = 5, n6_samples: int = 0, seed: int = 0
-) -> dict:
-    """Largest observed gap of exact_p2 over max{v_odd/2, ceil(d/2), density}.
+def bound_gap_scan(n_exhaustive: int = 5) -> dict:
+    """Largest observed gap of exact_p2 over max{v_odd/2, ceil(d/2), density}
+    across every graph with n <= n_exhaustive.
 
     Whether the gap can exceed one is open; this reports, never asserts.
     """
-    import random
-
-    rng = random.Random(seed)
     worst = {"gap": 0, "graphs": 0, "example": None}
 
     def probe(g: Graph) -> None:
@@ -367,8 +362,4 @@ def bound_gap_scan(
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             probe(Graph(n, edges))
-    pairs6 = list(combinations(range(6), 2))
-    for _ in range(n6_samples):
-        edges = [e for e in pairs6 if rng.random() < 0.5]
-        probe(Graph(6, edges))
     return dict(worst)

@@ -22,7 +22,6 @@ from .core import (
     OddCover,
     cycle_edges,
     degree2_components,
-    degree_bound,
     degree_profile,
     norm_edge,
     path_edges,
@@ -141,9 +140,7 @@ def cover_first_bound(g: Graph) -> OddCover:
     """
     delta0, v_odd0, _ = degree_profile(g)
     members, cur = peel_odd_paths(g, v_odd0 // 2)
-    for layer in peel_cycle_layers(cur):
-        tp = cover_cycles(layer)
-        members += [tp.p, tp.q]
+    members += _spend_layers(peel_cycle_layers(cur), [])
     cover = OddCover(g, members, "path")
     if not verify_cover(cover).valid or cover.count > delta0 + v_odd0 // 2:
         raise InternalInvariantError("additive-bound cover failed self-check")
@@ -171,30 +168,18 @@ def solve_budget(g: Graph) -> SolveBudget:
     return SolveBudget(t=t, d=delta_e - 2 * t, delta_e=delta_e)
 
 
-def cover_eulerian_plus_matching(
-    g_prime: Graph, matching: Sequence[Edge]
-) -> OddCover:
-    """Odd-cover E(g_prime) XOR M for an even-degree g_prime and matching M.
+def _spend_layers(layers: list[list[Cycle]], m: list[Edge]) -> list[tuple[int, ...]]:
+    """Two paths per cycle layer, integrating the sorted matching m.
 
-    Runs the per-layer loop: two matching edges are integrated into each
-    cycle layer while any remain (choosing a safe pair out of three, or
-    splitting four over two layers), single edges go in alone, and leftover
-    layers cost two plain paths each.  Layer budget is max(t, delta/2) with
-    t = ceil(|M|/2) (t = 2 when |M| = 2), so the count is at most twice
-    that.
+    Two matching edges go into each layer while any remain (choosing a safe
+    pair out of three, or splitting four over two layers), single edges go
+    in alone, and leftover layers cost two plain paths each.  Layer budget
+    is max(t, len(layers)) with t = ceil(|M|/2) (t = 2 when |M| = 2), so the
+    count is at most twice that.  Unchecked: each public caller verifies
+    its whole cover once.
     """
-    if not g_prime.is_even():
-        raise ValueError("matching integration needs all degrees even")
-    m = sorted(norm_edge(u, v) for u, v in matching)
-    seen: set[int] = set()
-    for e in m:
-        if seen & set(e):
-            raise ValueError("matching edges share a vertex")
-        seen |= set(e)
-    layers: list[list[Cycle]] = peel_cycle_layers(g_prime)
-    t = _integration_rounds(len(m))
-    rounds = max(t, len(layers))
-    layers += [[] for _ in range(rounds - len(layers))]
+    rounds = max(_integration_rounds(len(m)), len(layers))
+    layers = layers + [[] for _ in range(rounds - len(layers))]
 
     members: list[tuple[int, ...]] = []
     i = 0
@@ -235,9 +220,25 @@ def cover_eulerian_plus_matching(
                 tp = cover_cycles(cs)
                 members += [tp.p, tp.q]
             i += 1
+    return members
 
-    target = g_prime.xor(matching)
-    cover = OddCover(target, members, "path")
+
+def cover_eulerian_plus_matching(
+    g_prime: Graph, matching: Sequence[Edge]
+) -> OddCover:
+    """Odd-cover E(g_prime) XOR M for an even-degree g_prime and matching M,
+    with at most 2*max(t, delta/2) paths (t as in _spend_layers)."""
+    if not g_prime.is_even():
+        raise ValueError("matching integration needs all degrees even")
+    m = sorted(norm_edge(u, v) for u, v in matching)
+    seen: set[int] = set()
+    for e in m:
+        if seen & set(e):
+            raise ValueError("matching edges share a vertex")
+        seen |= set(e)
+    layers = peel_cycle_layers(g_prime)
+    cover = OddCover(g_prime.xor(matching), _spend_layers(layers, m), "path")
+    rounds = max(_integration_rounds(len(m)), len(layers))
     if not verify_cover(cover).valid or cover.count > 2 * rounds:
         raise InternalInvariantError("matching integration failed self-check")
     return cover
@@ -253,11 +254,11 @@ def disjoint_cycles_of(g: Graph) -> list[Cycle]:
 
 def path_odd_cover(g: Graph) -> OddCover:
     """Odd-cover with at most max{v_odd/2, 2*ceil(delta/2)} paths."""
-    bound = degree_bound(g)
     members: list[tuple[int, ...]] = []
     cur = g
     delta, v_odd, _ = degree_profile(cur)
     delta_e = 2 * -(-delta // 2)
+    bound = max(v_odd // 2, delta_e)
     # Removing edges never raises delta, so after peeling down to
     # v_odd/2 = delta_e the rest costs at most delta_e; a batch that lowers
     # delta leaves more to peel.
@@ -275,8 +276,7 @@ def path_odd_cover(g: Graph) -> OddCover:
             raise InternalInvariantError("low-degree pair case hit the obstruction")
         members += [res.p, res.q]
     elif cur.m or m:
-        sub = cover_eulerian_plus_matching(cur.xor(m), m)
-        members += sub.members
+        members += _spend_layers(peel_cycle_layers(cur.xor(m)), m)
 
     cover = OddCover(g, members, "path")
     if not verify_cover(cover).valid or cover.count > bound:
@@ -303,17 +303,17 @@ def _cover_cycles_and_paths(
     return splice_stand_ins(res, zip(fps, paths))
 
 
-def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
+def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     """Odd-cover allowing added isolated vertices, per the 2t + la(d) budget.
 
     t is ceil(v_odd/4) (or 2 when v_odd = 4 with delta >= 3) and
     d = 2*ceil(delta/2) - 2t.  The first t cycle layers absorb the matching;
     the residual is covered by stitching an exact minimum linear-forest
-    decomposition when the graph is small enough to search (n <= la_search_n),
+    decomposition when the graph is small enough to search (n <= MAX_FOREST_N),
     else by plain layer pairs (cost d instead of la(d)).  Returns the cover
     and which branch handled the residual.
     """
-    from .oracle import exact_linear_forests
+    from .oracle import MAX_FOREST_N, exact_linear_forests
 
     delta, v_odd, _ = degree_profile(g)
     budget = solve_budget(g)
@@ -341,8 +341,7 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
     head = layers[:t]
     tail = layers[t:]
     head_edges = [e for layer in head for c in layer for e in cycle_edges(c)]
-    sub = cover_eulerian_plus_matching(Graph(g.n, head_edges), m)
-    members = list(sub.members)
+    members = _spend_layers(peel_cycle_layers(Graph(g.n, head_edges)), m)
 
     branch = "layer-pairs"
     n_total = g.n
@@ -351,7 +350,7 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
         residual = Graph(g.n, tail_edges)
         delta_r, _, _ = degree_profile(residual)
         forests = None
-        if g.n <= la_search_n:
+        if g.n <= MAX_FOREST_N:
             for k in range(max(1, -(-delta_r // 2)), d + 1):
                 forests = exact_linear_forests(residual, k)
                 if forests is not None:
@@ -362,9 +361,7 @@ def iso_cover_general(g: Graph, la_search_n: int = 10) -> tuple[OddCover, str]:
             n_total = isoc.target.n
             branch = "linear-arboricity"
         else:
-            for layer in tail:
-                tp = cover_cycles(layer)
-                members += [tp.p, tp.q]
+            members += _spend_layers(tail, [])
     else:
         branch = "no-residual"
 

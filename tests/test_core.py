@@ -82,6 +82,13 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
 
 
+def test_equal_graphs_hash_equal():
+    a = Graph(4, [(2, 3), (0, 1)])
+    b = Graph(4, [(1, 0), (3, 2)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Graph(5, [(0, 1), (2, 3)])}) == 2
+
+
 def test_degree2_components_mixed():
     # paths 5-2-7 and 9-4, cycles 1-3-8 and 0-6-10-11, isolated 12 and 13
     edges = [(7, 2), (2, 5), (4, 9), (8, 1), (3, 8), (1, 3)]

@@ -208,7 +208,6 @@ def test_cli_bench_json_lines():
         "0.3",
         "--seed",
         "3",
-        "--ordered",
     )
     assert proc.returncode == 0
     lines = [json.loads(x) for x in proc.stdout.splitlines()]
@@ -219,7 +218,7 @@ def test_cli_bench_json_lines():
 def test_cli_bench_parallel_workers_deterministic():
     args = [
         "bench", "--family", "eulerian-random", "--verb", "cycle-cover",
-        "--count", "6", "--n", "14", "--seed", "11", "--ordered",
+        "--count", "6", "--n", "14", "--seed", "11",
     ]
     seq = run_cli(*args, env={"ODDCOVER_THREADS": "1"})
     par = run_cli(*args, env={"ODDCOVER_THREADS": "3"})

@@ -227,3 +227,10 @@ def test_odd_k_queries_never_read_the_larger_layer(monkeypatch):
     monkeypatch.setattr(eng, "layers", [*eng.layers[:2], _Forbidden()])
     assert exact_p2(k4k3) == (3, cover3)
     assert exact_p2(c6) == (2, cover2)
+
+
+def test_exhausted_search_returns_none():
+    # gens {0b11} reach only 0 and 0b11: the search runs out of layers
+    # before k = 5 and the unreachable target must come back as None
+    assert oracle._XorSearch(2, [0b11]).solve(0b01, 5) is None
+    assert oracle._XorSearch(2, [0b11]).solve(0b11, 5) == (1, [0])

@@ -1,6 +1,14 @@
 import pytest
 
-from oddcover.core import Graph, OddCover, degree_profile, path_edges, verify_cover
+from oddcover import solver
+from oddcover.core import (
+    Graph,
+    InternalInvariantError,
+    OddCover,
+    degree_profile,
+    path_edges,
+    verify_cover,
+)
 from oddcover.families import (
     counterexample,
     cycles_on_path,
@@ -126,8 +134,6 @@ def test_peel_odd_paths_rejects_bad_counts():
 def test_path_odd_cover_rebatches_when_delta_drops(monkeypatch):
     # gnp(30, 0.05, seed=20): v_odd/2 = 7, delta = 5; the first batch of
     # one path lowers delta to 4, so a second batch of two follows.
-    from oddcover import solver
-
     batches = []
     real = solver.peel_odd_paths
 
@@ -150,6 +156,31 @@ def test_cover_first_bound_examples():
     assert cover_first_bound(path).count == 1
     k5 = cover_first_bound(K(5))
     assert verify_cover(k5).valid and k5.count <= 4
+
+
+def test_path_odd_cover_verifies_once(monkeypatch):
+    # K5 minus an edge: delta = 4 and two odd vertices, so the matching
+    # edge is integrated into a cycle layer; only the whole cover is checked.
+    calls = []
+    real = solver.verify_cover
+
+    def spy(cover):
+        calls.append(cover.count)
+        return real(cover)
+
+    monkeypatch.setattr(solver, "verify_cover", spy)
+    g = Graph(5, sorted(K(5).edges - {(0, 1)}))
+    assert degree_profile(g)[:2] == (4, 2)
+    cover = path_odd_cover(g)
+    assert calls == [cover.count]
+
+
+@pytest.mark.parametrize("solve", [path_odd_cover, cover_first_bound])
+def test_layer_loop_faults_are_caught(monkeypatch, solve):
+    # a wrong pair from the plain-layer step must still fail the self-check
+    monkeypatch.setattr(solver, "cover_cycles", lambda cs: solver.TwoPaths((0, 1), (0, 1)))
+    with pytest.raises(InternalInvariantError):
+        solve(K(5))
 
 
 def test_cover_eulerian_plus_matching_no_matching():

@@ -500,6 +500,12 @@ def test_cycle_top_cover_single_cycle():
     assert cover.count == 1 and verify_cover(cover).valid
 
 
+def test_cycle_top_cover_edgeless():
+    g = Graph(5)
+    h, cover, chains = cycle_top_cover(g)
+    assert h == g and cover.members == [] and cover.kind == "cycle" and chains == {}
+
+
 def test_cycle_top_cover_rejects_two_cycles():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(ValueError):
