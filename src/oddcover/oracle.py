@@ -18,6 +18,9 @@ The search runs on a bitset view of the C(n, 2) vertex pairs: `edge_index`
 maps pair (u, v) with u < v to bit u*n - u*(u+1)/2 + (v - u - 1), and
 `EdgeVector` holds a pair subset as an int, so oracle witnesses are
 bit-exact across implementations.
+
+numpy is imported inside `_XorSearch` alone, so it loads on the first exact
+query and `import oddcover` (and every CLI verb but `exact`) runs without it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .core import (
     Edge,
@@ -145,6 +146,8 @@ class _XorSearch:
     """Layered BFS over the edge space generated by a fixed vector set."""
 
     def __init__(self, n_bits: int, masks: Sequence[int]):
+        import numpy as np
+
         self.size = 1 << n_bits
         self.gens = np.asarray(masks, dtype=np.uint32)
         self.dist = np.full(self.size, 255, dtype=np.uint8)
@@ -153,6 +156,8 @@ class _XorSearch:
         self.exhausted = False
 
     def _extend(self) -> None:
+        import numpy as np
+
         if self.exhausted:
             return
         frontier = self.layers[-1]
@@ -171,6 +176,8 @@ class _XorSearch:
 
     def solve(self, target: int, max_k: int) -> tuple[int, list[int]] | None:
         """Fewest generators XORing to target, as (k, indices); None past max_k."""
+        import numpy as np
+
         if target == 0:
             return 0, []
         t = np.uint32(target)
@@ -187,13 +194,16 @@ class _XorSearch:
             small = self.layers[k - h]
             hits = small[self.dist[small ^ t] == h]
             if hits.size:
-                if int(self.dist[target]) == k:
-                    return k, self._walk(target)
+                # Always split, even if dist[target] == k already: the
+                # witness then reads only depths <= h and depends on the
+                # target alone, not on how deep earlier queries built the table.
                 x = int((hits ^ t).min())
                 return k, self._walk(x) + self._walk(x ^ target)
         return None
 
     def _walk(self, x: int) -> list[int]:
+        import numpy as np
+
         out = []
         while x:
             step = self.dist[self.gens ^ np.uint32(x)] == int(self.dist[x]) - 1

@@ -147,6 +147,13 @@ def test_verify_reports_member_defects():
     assert not report.valid and report.member_errors
 
 
+def test_verify_reports_an_unknown_kind():
+    # load_witness rejects unknown kinds first, so only a direct call gets here
+    report = verify_cover(OddCover(Graph(3, [(0, 1)]), [], "walk"))
+    assert not report.valid
+    assert report.member_errors == ["unknown kind 'walk'"]
+
+
 def test_verify_against_bitset_xor_agrees():
     rng = rng_for("verify-bitset")
     for _ in range(300):

@@ -4,6 +4,8 @@ On universes of at most 7 vertices the oracle's minimum is known, so every
 witness the layer peeling and odd-path peeling produce is checked to sit
 between the floors, the exact minimum and the guaranteed ceiling, and the
 two-path kit's obstruction test is checked against the oracle's verdict.
+The isolated-vertex and additive-bound covers are checked against the
+oracle on every nonempty graph with n <= 5 and on seeded G(6, p).
 """
 
 from itertools import combinations
@@ -21,14 +23,21 @@ from oddcover.core import (
     norm_edge,
     verify_cover,
 )
-from oddcover.oracle import exact_c2, exact_p2
-from oddcover.solver import cycle_odd_cover, path_odd_cover
+from oddcover.oracle import exact_c2, exact_linear_arboricity, exact_p2, exact_p2_iso
+from oddcover.solver import (
+    cover_first_bound,
+    cycle_odd_cover,
+    iso_cover_general,
+    path_odd_cover,
+)
 from oddcover.twopaths import (
     ExceptionalCase,
     TwoPaths,
     integrate_two_edges,
     is_exceptional_k4,
 )
+
+from conftest import all_graphs, random_graph, rng_for
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -145,3 +154,32 @@ def test_k4_obstruction_agrees_with_the_oracle(inst):
         assert isinstance(res, TwoPaths)
         assert verify_cover(OddCover(target, list(res), "path")).valid
         assert exact_p2(target, max_k=2) is not None
+
+
+def _small_graphs():
+    """Every nonempty graph with n <= 5, then 600 seeded G(6, p) draws."""
+    for n in range(2, 6):
+        yield from (g for g in all_graphs(n) if g.m)
+    rng = rng_for("oracle-differential-n6")
+    for _ in range(600):
+        g = random_graph(6, rng.random(), rng)
+        if g.m:
+            yield g
+
+
+def test_iso_cover_against_the_oracle():
+    eulerian = 0
+    for g in _small_graphs():
+        cover, _ = iso_cover_general(g)
+        added = cover.target.n - g.n
+        assert cover.count >= exact_p2_iso(g, extra=added)[0]
+        if g.is_even():
+            # the paper's match with the linear arboricity
+            eulerian += 1
+            assert cover.count == exact_linear_arboricity(g)[0]
+    assert eulerian > 50
+
+
+def test_first_bound_cover_against_the_oracle():
+    for g in _small_graphs():
+        assert cover_first_bound(g).count >= exact_p2(g)[0]

@@ -321,3 +321,34 @@ def test_cli_two_verbs_in_one_process_match_separate_runs(tmp_path, capsys):
     assert climod._parser() is climod._parser()
     assert gen_out == run_cli(*gen).stdout
     assert cover_out == run_cli("cycle-cover", str(gpath)).stdout
+
+
+_COLD_START = """
+import sys
+from pathlib import Path
+from oddcover import cli
+
+d = Path(sys.argv[1])
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+    return "numpy" in sys.modules
+
+assert not run("gen", "--family", "gnp", "--n", 14, "--p", 0.4, "--seed", 2, "-o", d / "g.txt")
+for verb in ("cover", "top-cover", "iso-cover"):
+    assert not run(verb, d / "g.txt", "-o", d / f"{verb}.json"), verb
+assert not run("verify", d / "g.txt", d / "cover.json")
+assert not run("gen", "--family", "eulerian-random", "--n", 10, "--seed", 3, "-o", d / "e.txt")
+assert not run("cycle-cover", d / "e.txt", "-o", d / "c.json")
+assert not run("gen", "--family", "gnp", "--n", 6, "--p", 0.5, "--seed", 2, "-o", d / "s.txt")
+assert run("exact", d / "s.txt")
+"""
+
+
+def test_cli_verbs_but_exact_run_without_numpy(tmp_path):
+    # numpy loads on the first exact-oracle query, not at import; exact must
+    # load it, so the check cannot pass for want of a numpy import to see
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
