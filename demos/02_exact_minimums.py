@@ -11,13 +11,13 @@ from itertools import combinations
 
 from oddcover import (
     Graph,
-    arboricity_density,
     bound_gap_scan,
     exact_c2,
     exact_linear_arboricity,
     exact_p2,
     exact_p2_iso,
     lower_bound,
+    max_subgraph_density,
     verify_cover,
 )
 
@@ -35,13 +35,13 @@ for name, g in [
 ]:
     k, cover = exact_p2(g)
     print(f"p2({name}) = {k}  (floor {lower_bound(g)}, "
-          f"density {arboricity_density(g)}, verified {verify_cover(cover).valid})")
+          f"density {max_subgraph_density(g)}, verified {verify_cover(cover).valid})")
 
 # The one known way the structural floors lose: K4 + K3 needs one more path
 # than max(v_odd/2, ceil(delta/2), arboricity) predicts.
 g = Graph(7, list(K(4).edges) + [(4, 5), (5, 6), (4, 6)])
 k, _ = exact_p2(g)
-base = max(lower_bound(g), arboricity_density(g))
+base = max(lower_bound(g), max_subgraph_density(g))
 print(f"\nK4 + K3: floors give {base}, true minimum is {k}")
 
 # The parameter chain p2 >= p2_iso >= la >= a, on one Eulerian example.
@@ -50,7 +50,7 @@ chain = (
     exact_p2(g)[0],
     exact_p2_iso(g, extra=1)[0],
     exact_linear_arboricity(g)[0],
-    arboricity_density(g),
+    max_subgraph_density(g),
 )
 print(f"\nchain p2 >= p2_iso >= la >= a: {chain}")
 

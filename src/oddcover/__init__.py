@@ -35,7 +35,6 @@ from .families import (
 from .io import emit_edge_list, parse_edge_list, parse_graph6, witness_json
 from .oracle import (
     EdgeVector,
-    arboricity_density,
     bound_gap_scan,
     enumerate_cycles,
     enumerate_paths,

@@ -25,7 +25,7 @@ from .core import (
     norm_edge,
     path_edges,
 )
-from .twopaths import Cycle, _cycle_minus_edge
+from .twopaths import Cycle, _arcs_between
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -125,7 +125,8 @@ def counterexample(k: int) -> tuple[Graph, list[tuple[int, ...]], list[list[Edge
     for i in range(k):
         e = removed[i]
         cyc = cycles[i]
-        paths_one.append(tuple(_cycle_minus_edge(cyc, e)))
+        arcs = _arcs_between(cyc, cyc.index(e[0]), cyc.index(e[1]))
+        paths_one.append(tuple(max(arcs, key=len)))  # the cycle minus e
 
     h_edges = {
         norm_edge(u, v) for u in range(n1) for v in range(u + 1, n1)

@@ -286,9 +286,10 @@ def exact_linear_forests(g: Graph, k: int) -> list[list[Edge]] | None:
         raise ValueError("negative class count")
     if g.m == 0:
         return [[] for _ in range(k)]
-    if k == 0:
-        return None
     deg = g.degrees()
+    # a linear forest on the v vertices that carry edges has <= v - 1 edges
+    if k * (sum(1 for d in deg if d) - 1) < g.m:
+        return None
     edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
     m = len(edges)
     color = [-1] * m
@@ -341,11 +342,6 @@ def exact_linear_arboricity(g: Graph) -> tuple[int, list[list[Edge]]]:
         if forests is not None:
             return k, forests
     raise InternalInvariantError("no linear-forest partition up to the cap")
-
-
-def arboricity_density(g: Graph) -> int:
-    """Nash-Williams arboricity: max over subgraphs of ceil(e/(v-1))."""
-    return max_subgraph_density(g)
 
 
 def bound_gap_scan(n_exhaustive: int = 5) -> dict:

@@ -16,6 +16,11 @@ an internal vertex.  `is_exceptional_k4` recognizes the obstruction,
 (at most one of the three pairs can be obstructed), and
 `integrate_four_edges` distributes four edges over two cycle sets.
 
+Each public call indexes its canonical, sorted cycles once as a private
+`_Layer` (the cycle and position of every vertex), and every construction
+reads where a vertex or an edge sits from it; a reduction that recurses on
+a rebuilt cycle set indexes that set in the order it built it.
+
 Every public function re-checks its own output: the returned paths must be
 simple and their edge-parity XOR must equal the requested target, else an
 InternalInvariantError is raised.
@@ -75,29 +80,59 @@ def canon_cycle(cycle: Sequence[int]) -> Cycle:
     return tuple(vs)
 
 
-def _prepare(cycles: Iterable[Sequence[int]]) -> list[Cycle]:
-    out = sorted(canon_cycle(c) for c in cycles)
-    seen: set[int] = set()
-    for c in out:
-        if seen & set(c):
-            raise ValueError("cycles are not vertex-disjoint")
-        seen |= set(c)
-    return out
-
-
-def _all_edges(cycles: Sequence[Cycle]) -> set[Edge]:
-    out: set[Edge] = set()
-    for c in cycles:
-        out.update(cycle_edges(c))
-    return out
-
-
-def _arcs_between(cycle: Cycle, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Both arcs of the cycle from a to b, each as a vertex list a..b."""
-    ia, ib, ell = cycle.index(a), cycle.index(b), len(cycle)
-    fwd = [cycle[(ia + t) % ell] for t in range((ib - ia) % ell + 1)]
-    bwd = [cycle[(ia - t) % ell] for t in range((ia - ib) % ell + 1)]
+def _arcs_between(cycle: Cycle, ia: int, ib: int) -> tuple[list[int], list[int]]:
+    """Both arcs of the cycle from position ia to position ib, as vertex lists."""
+    ring, ell = cycle + cycle, len(cycle)
+    fwd = list(ring[ia : ia + (ib - ia) % ell + 1])
+    bwd = list(ring[ib : ib + (ia - ib) % ell + 1])[::-1]
     return fwd, bwd
+
+
+class _Layer:
+    """A vertex-disjoint cycle set, indexed once.
+
+    `owner[v]` is the index of the cycle through v and `pos[v]` its position
+    there.  The cycles keep the order and orientation they are given in.
+    """
+
+    __slots__ = ("cycles", "owner", "pos")
+
+    def __init__(self, cycles: list[Cycle]):
+        owner: dict[int, int] = {}
+        pos: dict[int, int] = {}
+        for j, c in enumerate(cycles):
+            for i, v in enumerate(c):
+                owner[v] = j
+                pos[v] = i
+        if len(owner) != sum(map(len, cycles)):
+            raise ValueError("cycles are not vertex-disjoint")
+        self.cycles, self.owner, self.pos = cycles, owner, pos
+
+    def has_edge(self, f: Edge) -> bool:
+        """Is f an edge of one of the cycles?"""
+        a, b = f
+        j = self.owner.get(a)
+        if j is None or self.owner.get(b) != j:
+            return False
+        gap = abs(self.pos[a] - self.pos[b])
+        return gap == 1 or gap == len(self.cycles[j]) - 1
+
+    @classmethod
+    def canonical(cls, cycles: Iterable[Sequence[int]]) -> _Layer:
+        """The layer of the canonical cycles in sorted order."""
+        return cls(sorted(canon_cycle(c) for c in cycles))
+
+    def without(self, *js: int) -> _Layer:
+        """The layer of every cycle but those with the given indices."""
+        return _Layer([c for i, c in enumerate(self.cycles) if i not in js])
+
+    def arcs(self, a: int, b: int) -> tuple[list[int], list[int]]:
+        """Both arcs from a to b of the cycle through both."""
+        return _arcs_between(self.cycles[self.owner[a]], self.pos[a], self.pos[b])
+
+    def cut(self, f: Edge) -> list[int]:
+        """The cycle through the edge f as a path from f[0] to f[1] avoiding f."""
+        return max(self.arcs(*f), key=len)
 
 
 def _seg(path: Sequence[int], a: int, b: int) -> list[int]:
@@ -117,22 +152,23 @@ def _interior(arc: Sequence[int]) -> list[int]:
 
 
 def _checked(
-    p: Sequence[int],
-    q: Sequence[int],
-    target: set[Edge],
-    allowed: set[int] | None = None,
+    layer: _Layer, p: Sequence[int], q: Sequence[int], extra: Sequence[Edge] = ()
 ) -> TwoPaths:
+    """The two paths, once they are simple, stay on the cycles and the extra
+    edges' endpoints, and XOR to the cycle edges toggled by the extra edges."""
     paths = (tuple(p), tuple(q))
     for vs in paths:
         try:
             check_path(vs)
         except ValueError as exc:  # the kit built it: a bug, not bad input
             raise InternalInvariantError(str(exc)) from exc
-        if allowed is not None and not set(vs) <= allowed:
+        stray = set(vs).difference(layer.owner, *extra)
+        if stray:
             raise InternalInvariantError(
-                f"path strays outside the instance: {sorted(set(vs) - allowed)}"
+                f"path strays outside the instance: {sorted(stray)}"
             )
     odd = odd_edges(paths)
+    target = set().union(*map(cycle_edges, layer.cycles)) ^ set(extra)
     if odd != target:
         raise InternalInvariantError(
             f"two-path XOR mismatch: missing {sorted(target - odd)}, "
@@ -185,12 +221,13 @@ def _insert_detour(path: Sequence[int], edge: Edge, arc: Sequence[int]) -> list[
 
 
 def _thread(
+    layer: _Layer,
     cycles: Sequence[Cycle],
     x_first: int | None = None,
     y_last: int | None = None,
     avoid: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Chain ordered cycles into two paths sharing both endpoints.
+    """Chain ordered cycles of the layer into two paths sharing both endpoints.
 
     Per cycle two split vertices x_i, y_i are chosen (never `avoid`), the two
     complementary arcs go one to each output path, and consecutive cycles are
@@ -208,7 +245,7 @@ def _thread(
             x = next(v for v in pool if v != y)
         if y is None:
             y = next(v for v in pool if v != x)
-        arc1, arc2 = _arcs_between(cyc, x, y)
+        arc1, arc2 = layer.arcs(x, y)
         if avoid is not None and avoid in arc1:
             p_arc, q_arc = arc2, arc1
         elif avoid is not None and avoid in arc2:
@@ -222,34 +259,27 @@ def _thread(
 
 def cover_cycles(cycles: Iterable[Sequence[int]]) -> TwoPaths:
     """Odd-cover a nonempty set of vertex-disjoint cycles with two paths."""
-    cs = _prepare(cycles)
-    if not cs:
+    layer = _Layer.canonical(cycles)
+    if not layer.cycles:
         raise ValueError("empty cycle set")
-    p, q = _thread(cs)
-    return _checked(p, q, _all_edges(cs), {v for c in cs for v in c})
+    return _checked(layer, *_thread(layer, layer.cycles))
 
 
 # ---------------------------------------------------------------------------
 # one-edge integration
 
 
-def _cycle_of(cycles: Sequence[Cycle], v: int) -> int | None:
-    for j, c in enumerate(cycles):
-        if v in c:
-            return j
-    return None
-
-
-def _theta_two_paths(cycle: Cycle, u: int, v: int, z: int | None) -> tuple[list[int], list[int]]:
-    """Cycle plus chord uv, split into two paths both ending at z."""
-    arc_a, arc_b = _arcs_between(cycle, u, v)
+def _theta_two_paths(
+    layer: _Layer, u: int, v: int, z: int | None
+) -> tuple[list[int], list[int]]:
+    """The cycle through u and v plus the chord uv, split into two paths both
+    ending at z."""
+    arc_a, arc_b = layer.arcs(u, v)
     if z is None:
         z = min(_interior(arc_a) + _interior(arc_b))
-    if z in _interior(arc_b):
-        pass
-    elif z in _interior(arc_a):
+    if z in _interior(arc_a):
         arc_a, arc_b = arc_b, arc_a
-    else:
+    elif z not in _interior(arc_b):
         raise ValueError(f"endpoint {z} not usable on the chorded cycle")
     iz = arc_b.index(z)
     p = [u] + arc_b[iz:][::-1]  # the chord u-v, then v ..B.. z
@@ -258,82 +288,61 @@ def _theta_two_paths(cycle: Cycle, u: int, v: int, z: int | None) -> tuple[list[
 
 
 def _plus_one(
-    cycles: Sequence[Cycle], f: Edge, z: int | None
+    layer: _Layer, f: Edge, z: int | None
 ) -> tuple[list[int], list[int]]:
-    """Two paths covering {f} union E(cycles) for f outside the cycle edges.
+    """Two paths covering {f} union E(layer) for f outside the cycle edges.
 
     Both paths share their last vertex (z when given).  Raises
     ExceptionalEndpointError when z is requested on the same cycle that
     carries both endpoints of f while other cycles exist.
     """
     u, v = f
-    if z is not None and (z in f or _cycle_of(cycles, z) is None):
+    cycles, owner = layer.cycles, layer.owner
+    if z is not None and (z in f or z not in owner):
         raise ValueError(f"common endpoint {z} must lie on a cycle, off {f}")
-    cu, cv = _cycle_of(cycles, u), _cycle_of(cycles, v)
+    cu, cv = owner.get(u), owner.get(v)
+    jz = None if z is None else owner[z]
 
     if cu is not None and cu == cv:
         if len(cycles) == 1:
-            return _theta_two_paths(cycles[0], u, v, z)
-        if z is not None and z in cycles[cu]:
+            return _theta_two_paths(layer, u, v, z)
+        if jz == cu:
             raise ExceptionalEndpointError(
                 f"z={z} shares a cycle with both endpoints of {f}"
             )
         rest = [c for i, c in enumerate(cycles) if i != cu]
-        last = rest[-1] if z is None else rest[_cycle_of(rest, z)]
+        last = rest[-1] if z is None else cycles[jz]
         order = [cycles[cu]] + [c for c in rest if c is not last] + [last]
         zz = z if z is not None else min(set(last) - {u, v})
-        p0, q0 = _thread(order, x_first=v, y_last=zz, avoid=u)
+        p0, q0 = _thread(layer, order, x_first=v, y_last=zz, avoid=u)
         return [u] + p0, q0
 
-    if z is not None and cv is not None and z in cycles[cv]:
+    if (jz is not None and jz == cv) or (z is None and cv is None and cu is not None):
         u, v = v, u
         cu, cv = cv, cu
-    if z is None and cv is None and cu is not None:
-        u, v = v, u
-        cu, cv = cv, cu
-
-    rest = list(cycles)
-    first = rest.pop(cv) if cv is not None else None
-    if z is not None:
-        zj = _cycle_of(rest, z)
-        if zj is None:
-            raise ExceptionalEndpointError(
-                f"z={z} shares a cycle with both endpoints of {f}"
-            )
-        order = ([first] if first is not None else []) + [
-            c for t, c in enumerate(rest) if t != zj
-        ] + [rest[zj]]
-    else:
-        order = ([first] if first is not None else []) + rest
+    order = [c for i, c in enumerate(cycles) if i != cv and i != jz]
+    if cv is not None:
+        order.insert(0, cycles[cv])
+    if jz is not None:
+        order.append(cycles[jz])
     zz = z if z is not None else min(set(order[-1]) - {u, v})
     p0, q0 = _thread(
-        order, x_first=(v if first is not None else None), y_last=zz, avoid=u
+        layer, order, x_first=(v if cv is not None else None), y_last=zz, avoid=u
     )
-    if first is not None:
+    if cv is not None:
         return [u] + p0, q0
     return [u, v] + p0, [v] + q0
 
 
-def _minus_one(cycles: Sequence[Cycle], f: Edge) -> tuple[list[int], list[int]]:
-    """Two paths covering E(cycles) minus one cycle edge f."""
-    j = next(i for i, c in enumerate(cycles) if f in cycle_edges(c))
-    walk = _cycle_minus_edge(cycles[j], f)
-    if len(cycles) == 1:
+def _minus_one(layer: _Layer, f: Edge) -> tuple[list[int], list[int]]:
+    """Two paths covering E(layer) minus one cycle edge f."""
+    walk = layer.cut(f)
+    if len(layer.cycles) == 1:
         w = min(walk[1:-1])
         iw = walk.index(w)
         return walk[: iw + 1], walk[iw:]
-    rest = [c for i, c in enumerate(cycles) if i != j]
+    rest = layer.without(layer.owner[f[0]])
     return splice_stand_ins(_plus_one(rest, f, None), [(f, walk)])
-
-
-def _cycle_minus_edge(cycle: Cycle, f: Edge) -> list[int]:
-    """The cycle as a path from f[0] to f[1] avoiding the edge f."""
-    k = len(cycle)
-    for i in range(k):
-        if {cycle[i], cycle[(i + 1) % k]} == set(f):
-            walk = [cycle[(i + 1 + t) % k] for t in range(k)]
-            return walk if walk[0] == f[0] else walk[::-1]
-    raise InternalInvariantError(f"edge {f} not on cycle {cycle}")
 
 
 def integrate_one_edge(
@@ -346,20 +355,17 @@ def integrate_one_edge(
     unavailable request).  For f on a cycle the construction dispatches to
     the edge-removal variant and z must be omitted.
     """
-    cs = _prepare(cycles)
-    if not cs:
+    layer = _Layer.canonical(cycles)
+    if not layer.cycles:
         raise ValueError("empty cycle set")
     f = norm_edge(*f)
-    edges = _all_edges(cs)
-    if f in edges:
+    if layer.has_edge(f):
         if z is not None:
             raise ValueError("common endpoint is not supported when f lies on a cycle")
-        p, q = _minus_one(cs, f)
+        p, q = _minus_one(layer, f)
     else:
-        p, q = _plus_one(cs, f, z)
-    target = edges ^ {f}
-    allowed = {v for c in cs for v in c} | set(f)
-    return _checked(p, q, target, allowed)
+        p, q = _plus_one(layer, f, z)
+    return _checked(layer, p, q, (f,))
 
 
 # ---------------------------------------------------------------------------
@@ -378,43 +384,43 @@ def is_exceptional_k4(
     f1, f2 = norm_edge(*f1), norm_edge(*f2)
     if set(f1) & set(f2):
         raise ValueError("edges share a vertex")
-    return _k4_obstruction(_prepare(cycles), f1, f2) is not None
+    return _k4_obstruction(_Layer.canonical(cycles), f1, f2) is not None
 
 
 def _demarcation(
-    cyc: Cycle, f1: Edge, f2: Edge
+    layer: _Layer, f1: Edge, f2: Edge
 ) -> tuple[list[int], list[list[int]], bool]:
-    """The four endpoints in cyclic order, the four arcs between them, and
-    whether the two edges cross (their endpoints alternate)."""
-    order = sorted(set(f1) | set(f2), key=cyc.index)
-    arcs = [_arcs_between(cyc, order[t], order[(t + 1) % 4])[0] for t in range(4)]
+    """The four endpoints in cyclic order on their common cycle, the four
+    arcs between them, and whether the two edges cross (their endpoints
+    alternate)."""
+    order = sorted((*f1, *f2), key=layer.pos.__getitem__)
+    arcs = [layer.arcs(order[t], order[(t + 1) % 4])[0] for t in range(4)]
     return order, arcs, {order[0], order[2]} in (set(f1), set(f2))
 
 
-def _k4_obstruction(cs: Sequence[Cycle], f1: Edge, f2: Edge) -> ExceptionalCase | None:
-    """The obstruction on prepared cycles and disjoint edges, or None.
+def _k4_obstruction(layer: _Layer, f1: Edge, f2: Edge) -> ExceptionalCase | None:
+    """The obstruction on a layer and disjoint edges, or None.
 
     It needs a second cycle, and a cycle carrying all four endpoints
     crosswise with at most one demarcated arc holding an internal vertex.
     Every caller asks here, so the test and the kit cannot disagree.
     """
-    if len(cs) < 2:
+    if len(layer.cycles) < 2:
         return None
-    pts = set(f1) | set(f2)
-    j = next((i for i, c in enumerate(cs) if pts <= set(c)), None)
-    if j is None:
+    homes = {layer.owner.get(v) for v in (*f1, *f2)}
+    if len(homes) != 1 or None in homes:
         return None
-    _, arcs, crossing = _demarcation(cs[j], f1, f2)
+    _, arcs, crossing = _demarcation(layer, f1, f2)
     inter = tuple(len(a) - 2 for a in arcs)
     if crossing and sum(1 for c in inter if c > 0) <= 1:
-        return ExceptionalCase(j, inter)
+        return ExceptionalCase(homes.pop(), inter)
     return None
 
 
-def _case_all_on_one_cycle(cs: list[Cycle], j: int, f1: Edge, f2: Edge) -> TwoPaths:
+def _case_all_on_one_cycle(layer: _Layer, j: int, f1: Edge, f2: Edge) -> TwoPaths:
     """All four endpoints on cycle j, off the obstruction."""
-    others = [c for i, c in enumerate(cs) if i != j]
-    pts, S, crossing = _demarcation(cs[j], f1, f2)
+    others = [c for i, c in enumerate(layer.cycles) if i != j]
+    pts, S, crossing = _demarcation(layer, f1, f2)
     inter = [len(a) - 2 for a in S]
 
     if crossing:
@@ -423,7 +429,7 @@ def _case_all_on_one_cycle(cs: list[Cycle], j: int, f1: Edge, f2: Edge) -> TwoPa
             p = S[0] + S[1][1:] + S[2][1:]
             q = [a2] + S[3][::-1] + [a1]
             return TwoPaths(tuple(p), tuple(q))
-        P, Q = _thread(others)
+        P, Q = _thread(layer, others)
         for i in range(2):
             if inter[i] and inter[i + 2]:
                 u1, u2, v1, v2 = (pts[(i + t) % 4] for t in range(4))
@@ -454,7 +460,7 @@ def _case_all_on_one_cycle(cs: list[Cycle], j: int, f1: Edge, f2: Edge) -> TwoPa
                 return TwoPaths(tuple(p), tuple(q))
         raise InternalInvariantError("no usable arc pair in crossing case")
 
-    P, Q = _thread(others)
+    P, Q = _thread(layer, others)
     r = 0 if {pts[0], pts[1]} in (set(f1), set(f2)) else 1
     b = [pts[(r + t) % 4] for t in range(4)]
     T = [S[(r + t) % 4] for t in range(4)]
@@ -473,76 +479,72 @@ def _case_all_on_one_cycle(cs: list[Cycle], j: int, f1: Edge, f2: Edge) -> TwoPa
 
 
 def _case_three_on_one_cycle(
-    cs: list[Cycle], j: int, f1: Edge, f2: Edge
+    layer: _Layer, j: int, f1: Edge, f2: Edge
 ) -> TwoPaths:
-    cyc = cs[j]
-    on = set(cyc)
-    f_on, f_mix = (f1, f2) if set(f1) <= on else (f2, f1)
-    u1 = next(v for v in f_mix if v in on)
-    v1 = next(v for v in f_mix if v not in on)
+    owner = layer.owner
+    f_on, f_mix = (f1, f2) if owner.get(f1[0]) == owner.get(f1[1]) == j else (f2, f1)
+    u1, v1 = f_mix if owner.get(f_mix[0]) == j else f_mix[::-1]
     u2, v2 = f_on
-    q3 = sorted((u1, u2, v2), key=cyc.index)
-    T = {frozenset((q3[t], q3[(t + 1) % 3])): _arcs_between(cyc, q3[t], q3[(t + 1) % 3])[0] for t in range(3)}
+    q3 = sorted((u1, u2, v2), key=layer.pos.__getitem__)
+    T = {frozenset((q3[t], q3[(t + 1) % 3])): layer.arcs(q3[t], q3[(t + 1) % 3])[0] for t in range(3)}
     r2 = T[frozenset((u2, v2))]
     ru = T[frozenset((u1, u2))]
     rv = T[frozenset((u1, v2))]
     y1 = min(_interior(r2))
-    rest = [c for i, c in enumerate(cs) if i != j]
-    hit = _cycle_of(rest, v1)
+    hit = owner.get(v1)
     if hit is not None:
-        order = [c for i, c in enumerate(rest) if i != hit] + [rest[hit]]
-        tail1, tail2 = _thread(order, y_last=v1)
+        order = [c for i, c in enumerate(layer.cycles) if i not in (j, hit)]
+        tail1, tail2 = _thread(layer, order + [layer.cycles[hit]], y_last=v1)
     else:
-        pr, qr = _thread(rest)
+        rest = [c for i, c in enumerate(layer.cycles) if i != j]
+        pr, qr = _thread(layer, rest)
         tail1, tail2 = pr + [v1], qr + [v1]
     p = [u2] + _seg(r2, v2, y1) + tail1 + [u1]
     q = _seg(rv, v2, u1) + _seg(ru, u1, u2)[1:] + _seg(r2, u2, y1)[1:] + tail2
     return TwoPaths(tuple(p), tuple(q))
 
 
-def _safe_common_endpoint(cs: list[Cycle], f: Edge) -> int:
+def _safe_common_endpoint(layer: _Layer, f: Edge) -> int:
     """A z for _plus_one that cannot trigger its exceptional clause."""
-    u, v = f
-    cu, cv = _cycle_of(cs, u), _cycle_of(cs, v)
-    if cu is not None and cu == cv and len(cs) >= 2:
-        return min(w for i, c in enumerate(cs) if i != cu for w in c)
-    return min(w for c in cs for w in c if w not in f)
+    cu = layer.owner.get(f[0])
+    if cu is not None and cu == layer.owner.get(f[1]) and len(layer.cycles) >= 2:
+        return min(w for w, j in layer.owner.items() if j != cu)
+    return min(w for w in layer.owner if w not in f)
 
 
 def _case_spread(
-    cs: list[Cycle], f1: Edge, f2: Edge, counts: list[int]
+    layer: _Layer, f1: Edge, f2: Edge, counts: list[int]
 ) -> TwoPaths:
     """Every cycle holds at most two of the four endpoints (counts[i] of
     them on cycle i)."""
+    owner = layer.owner
     pts = [*f1, *f2]
-    off = [v for v in pts if _cycle_of(cs, v) is None]
+    off = [v for v in pts if v not in owner]
     if off:
         fa, fb = (f1, f2) if (f1[0] in off or f1[1] in off) else (f2, f1)
         ua = min(v for v in fa if v in off)
         va = fa[0] if fa[1] == ua else fa[1]
-        if _cycle_of(cs, va) is not None:
-            p, q = _plus_one(cs, fb, z=va)
+        if va in owner:
+            p, q = _plus_one(layer, fb, z=va)
             return TwoPaths(tuple(p + [ua]), tuple(q))
-        z = _safe_common_endpoint(cs, fb)
-        p, q = _plus_one(cs, fb, z=z)
+        z = _safe_common_endpoint(layer, fb)
+        p, q = _plus_one(layer, fb, z=z)
         return TwoPaths(tuple(p + [va, ua]), tuple(q + [va]))
 
     if counts.count(2) == 2:
-        return _case_two_plus_two(cs, f1, f2, counts)
+        return _case_two_plus_two(layer, f1, f2, counts)
 
     lone = counts.index(1)
-    w = next(v for v in pts if v in cs[lone])
+    w = next(v for v in pts if owner[v] == lone)
     fa, fb = (f1, f2) if w in f1 else (f2, f1)
     va = fa[0] if fa[1] == w else fa[1]
-    rest = [c for i, c in enumerate(cs) if i != lone]
-    p, q = _plus_one(rest, fb, z=va)
+    p, q = _plus_one(layer.without(lone), fb, z=va)
     shared = sorted(set(path_edges(p)) & set(path_edges(q)))
     if not shared:
         raise InternalInvariantError("reroute case found no shared edge")
     e = shared[0]
-    pool = sorted(set(cs[lone]) - {w})
-    xk, yk = pool[0], pool[1]
-    arc1, arc2 = _arcs_between(cs[lone], xk, yk)
+    pool = sorted(v for v in layer.cycles[lone] if v != w)
+    arc1, arc2 = layer.arcs(pool[0], pool[1])
     p_arc, q_arc = (arc1, arc2) if w not in arc1 else (arc2, arc1)
     new_p = _insert_detour(p, e, p_arc)
     new_q = _insert_detour(q, e, q_arc)
@@ -550,58 +552,52 @@ def _case_spread(
 
 
 def _case_two_plus_two(
-    cs: list[Cycle], f1: Edge, f2: Edge, counts: list[int]
+    layer: _Layer, f1: Edge, f2: Edge, counts: list[int]
 ) -> TwoPaths:
+    owner = layer.owner
     j1, j2 = [i for i, c in enumerate(counts) if c == 2]
-    c1, c2 = cs[j1], cs[j2]
-    rest = [c for i, c in enumerate(cs) if i not in (j1, j2)]
+    rest = [c for i, c in enumerate(layer.cycles) if i not in (j1, j2)]
 
-    if set(f1) <= set(c1) or set(f1) <= set(c2):
-        ca, fa = (c1, f1) if set(f1) <= set(c1) else (c2, f1)
-        cb, fb = (c2, f2) if ca is c1 else (c1, f2)
-        z1 = min(set(ca) - set(fa))
-        z2 = min(set(cb) - set(fb))
-        p1, q1 = _plus_one([ca], fa, z=z1)  # both end at z1
-        p2, q2 = _plus_one([cb], fb, z=z2)  # both end at z2
-        mid_p, mid_q = _thread(rest)
+    if owner[f1[0]] == owner[f1[1]]:
+        # each edge is a chord of its own cycle: two thetas around the rest
+        z1 = min(v for v in layer.cycles[owner[f1[0]]] if v not in f1)
+        z2 = min(v for v in layer.cycles[owner[f2[0]]] if v not in f2)
+        p1, q1 = _theta_two_paths(layer, *f1, z1)  # both end at z1
+        p2, q2 = _theta_two_paths(layer, *f2, z2)  # both end at z2
+        mid_p, mid_q = _thread(layer, rest)
         return TwoPaths(tuple(p1 + mid_p + p2[::-1]), tuple(q1 + mid_q + q2[::-1]))
 
-    a1 = next(v for v in f1 if v in c1)
-    b1 = f1[0] if f1[1] == a1 else f1[1]
-    a2 = next(v for v in f2 if v in c1)
-    b2 = f2[0] if f2[1] == a2 else f2[1]
-    arc1, arc1b = _arcs_between(c1, a1, a2)
+    a1, b1 = f1 if owner[f1[0]] == j1 else f1[::-1]
+    a2, b2 = f2 if owner[f2[0]] == j1 else f2[::-1]
+    arc1, arc1b = layer.arcs(a1, a2)
     p1_arc, q1_arc = (arc1, arc1b) if len(arc1) > 2 else (arc1b, arc1)
-    arc2, arc2b = _arcs_between(c2, b2, b1)
+    arc2, arc2b = layer.arcs(b2, b1)
     p2_arc, q2_arc = (arc2, arc2b) if len(arc2) > 2 else (arc2b, arc2)
     cstar = tuple(p1_arc + p2_arc)  # a1..a2, f2 jump, b2..b1, f1 closes
     fa, fb = norm_edge(a1, a2), norm_edge(b1, b2)
-    sub = _integrate_two(rest + [cstar], fa, fb)
+    sub = _integrate_two(_Layer(rest + [cstar]), fa, fb)
     if not isinstance(sub, TwoPaths):
         raise InternalInvariantError("parallel-chord reduction hit the obstruction")
     return splice_stand_ins(sub, [(fa, q1_arc), (fb, q2_arc)])
 
 
-def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
-    segs = []
-    broken = []
-    for f in (f1, f2):
-        j = next(i for i, c in enumerate(cs) if f in cycle_edges(c))
-        broken.append(j)
+def _minus_two(layer: _Layer, f1: Edge, f2: Edge) -> TwoPaths:
+    broken = (layer.owner[f1[0]], layer.owner[f2[0]])
     if broken[0] == broken[1]:
-        cyc = cs[broken[0]]
+        cyc = layer.cycles[broken[0]]
         k = len(cyc)
-        cuts = sorted(
-            i for i in range(k) if {cyc[i], cyc[(i + 1) % k]} in (set(f1), set(f2))
+        pos = layer.pos  # each edge is cut at its first position along cyc
+        a, b = sorted(
+            pos[x] if (pos[x] + 1) % k == pos[y] else pos[y] for x, y in (f1, f2)
         )
-        a, b = cuts
-        segs.append([cyc[(a + 1 + t) % k] for t in range(b - a)])
-        segs.append([cyc[(b + 1 + t) % k] for t in range(k - (b - a))])
+        segs = [
+            [cyc[(a + 1 + t) % k] for t in range(b - a)],
+            [cyc[(b + 1 + t) % k] for t in range(k - (b - a))],
+        ]
     else:
-        segs.append(_cycle_minus_edge(cs[broken[0]], f1))
-        segs.append(_cycle_minus_edge(cs[broken[1]], f2))
-    rest = [c for i, c in enumerate(cs) if i not in broken]
-    if not rest:
+        segs = [layer.cut(f1), layer.cut(f2)]
+    rest = layer.without(*broken)
+    if not rest.cycles:
         return TwoPaths(tuple(segs[0]), tuple(segs[1]))
     fps = [norm_edge(s[0], s[-1]) for s in segs]
     sub = _integrate_two(rest, fps[0], fps[1])
@@ -610,24 +606,25 @@ def _minus_two(cs: list[Cycle], f1: Edge, f2: Edge) -> TwoPaths:
     return splice_stand_ins(sub, zip(fps, segs))
 
 
-def _plus_minus(cs: list[Cycle], f_in: Edge, f_out: Edge) -> TwoPaths:
+def _plus_minus(layer: _Layer, f_in: Edge, f_out: Edge) -> TwoPaths:
     """f_in lies on a cycle, f_out does not; cover E(C) - f_in + f_out."""
-    j = next(i for i, c in enumerate(cs) if f_in in cycle_edges(c))
-    cj = cs[j]
-    s_walk = _cycle_minus_edge(cj, f_in)  # u1 .. v1
-    rest = [c for i, c in enumerate(cs) if i != j]
-    u2 = next((v for v in f_out if v in cj), None)
+    owner = layer.owner
+    j = owner[f_in[0]]
+    s_walk = layer.cut(f_in)  # u1 .. v1
+    rest = [c for i, c in enumerate(layer.cycles) if i != j]
+    u2 = next((v for v in f_out if owner.get(v) == j), None)
 
     if u2 is None:
         if not rest:
             return TwoPaths(tuple(s_walk), tuple(f_out))
-        z = _safe_common_endpoint(rest, f_out)
-        p, q = _plus_one(rest, f_out, z=z)
+        sub = layer.without(j)
+        z = _safe_common_endpoint(sub, f_out)
+        p, q = _plus_one(sub, f_out, z=z)
         return TwoPaths(tuple(p + s_walk), tuple(q + [s_walk[0]]))
 
     v2 = f_out[0] if f_out[1] == u2 else f_out[1]
     if not rest:
-        if v2 in cj:
+        if owner.get(v2) == j:
             ia, ib = sorted((s_walk.index(u2), s_walk.index(v2)))
             return TwoPaths(
                 tuple(s_walk[: ia + 1] + s_walk[ib:]),
@@ -636,48 +633,59 @@ def _plus_minus(cs: list[Cycle], f_in: Edge, f_out: Edge) -> TwoPaths:
         iu = s_walk.index(u2)
         return TwoPaths(tuple(s_walk[: iu + 1] + [v2]), tuple(s_walk[iu:]))
 
-    if v2 in cj:
+    if owner.get(v2) == j:
         if s_walk.index(u2) > s_walk.index(v2):
             s_walk.reverse()
         u1, v1 = s_walk[0], s_walk[-1]
-        p0, q0 = _thread(rest)
+        p0, q0 = _thread(layer, rest)
         p = _seg(s_walk, u2, v1) + p0 + [u1]
         q = [v1] + q0 + s_walk[: s_walk.index(u2) + 1] + [v2]
         return TwoPaths(tuple(p), tuple(q))
 
     v1 = s_walk[-1]
-    if _cycle_of(rest, v2) is not None:
-        order = [c for c in rest if v2 not in c] + [c for c in rest if v2 in c]
-        p0, q0 = _thread(order, y_last=v2)
+    hit = owner.get(v2)
+    if hit is not None:
+        order = [c for c in rest if c is not layer.cycles[hit]] + [layer.cycles[hit]]
+        p0, q0 = _thread(layer, order, y_last=v2)
         return TwoPaths(tuple(s_walk + p0), tuple([v1] + q0 + [u2]))
-    p0, q0 = _thread(rest)
+    p0, q0 = _thread(layer, rest)
     return TwoPaths(tuple(s_walk + p0 + [v2]), tuple([v1] + q0 + [v2, u2]))
 
 
-def _integrate_two(
-    cs: list[Cycle], f1: Edge, f2: Edge, edges: set[Edge] | None = None
-) -> IntegrationResult:
-    """Dispatch on where the two edges sit; `edges` is E(cs) when known."""
-    if not cs:
+def _integrate_two(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
+    """Dispatch on where the two edges sit on the layer."""
+    if not layer.cycles:
         return TwoPaths(tuple(f1), tuple(f2))
-    if edges is None:
-        edges = _all_edges(cs)
-    in1, in2 = f1 in edges, f2 in edges
+    in1, in2 = layer.has_edge(f1), layer.has_edge(f2)
     if in1 and in2:
-        return _minus_two(cs, f1, f2)
+        return _minus_two(layer, f1, f2)
     if in1 or in2:
         f_in, f_out = (f1, f2) if in1 else (f2, f1)
-        return _plus_minus(cs, f_in, f_out)
-    pts = [*f1, *f2]
-    counts = [sum(1 for v in pts if v in c) for c in cs]
+        return _plus_minus(layer, f_in, f_out)
+    counts = [0] * len(layer.cycles)
+    for v in (*f1, *f2):
+        j = layer.owner.get(v)
+        if j is not None:
+            counts[j] += 1
     if 4 in counts:
-        obstruction = _k4_obstruction(cs, f1, f2)
+        obstruction = _k4_obstruction(layer, f1, f2)
         if obstruction is not None:
             return obstruction
-        return _case_all_on_one_cycle(cs, counts.index(4), f1, f2)
+        return _case_all_on_one_cycle(layer, counts.index(4), f1, f2)
     if 3 in counts:
-        return _case_three_on_one_cycle(cs, counts.index(3), f1, f2)
-    return _case_spread(cs, f1, f2, counts)
+        return _case_three_on_one_cycle(layer, counts.index(3), f1, f2)
+    return _case_spread(layer, f1, f2, counts)
+
+
+def _two_edges(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
+    """integrate_two_edges on a prepared layer."""
+    f1, f2 = norm_edge(*f1), norm_edge(*f2)
+    if set(f1) & set(f2):
+        raise ValueError("edges share a vertex")
+    res = _integrate_two(layer, f1, f2)
+    if isinstance(res, ExceptionalCase):
+        return res
+    return _checked(layer, res.p, res.q, (f1, f2))
 
 
 def integrate_two_edges(
@@ -689,17 +697,7 @@ def integrate_two_edges(
     The two edges must be vertex-disjoint but may lie on, touch, or avoid
     the cycles in any combination.
     """
-    cs = _prepare(cycles)
-    f1, f2 = norm_edge(*f1), norm_edge(*f2)
-    if set(f1) & set(f2):
-        raise ValueError("edges share a vertex")
-    edges = _all_edges(cs)
-    res = _integrate_two(cs, f1, f2, edges)
-    if isinstance(res, ExceptionalCase):
-        return res
-    target = edges ^ {f1, f2}
-    allowed = {v for c in cs for v in c} | set(f1) | set(f2)
-    return _checked(res.p, res.q, target, allowed)
+    return _two_edges(_Layer.canonical(cycles), f1, f2)
 
 
 def choose_integrable_pair(
@@ -713,9 +711,9 @@ def choose_integrable_pair(
     fs = [norm_edge(*f) for f in edges]
     if len(fs) != 3:
         raise ValueError("exactly three candidate edges required")
-    cs = _prepare(cycles)
+    layer = _Layer.canonical(cycles)
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        res = integrate_two_edges(cs, fs[a], fs[b])
+        res = _two_edges(layer, fs[a], fs[b])
         if isinstance(res, TwoPaths):
             return (fs[a], fs[b]), res
     raise InternalInvariantError("all three edge pairs were obstructed")
@@ -739,23 +737,23 @@ def integrate_four_edges(
         if seen & set(f):
             raise ValueError("edges are not pairwise disjoint")
         seen |= set(f)
-    ca, cb = _prepare(cycles_a), _prepare(cycles_b)
+    la, lb = _Layer.canonical(cycles_a), _Layer.canonical(cycles_b)
 
-    def ok(cs: list[Cycle], i: int, j: int) -> bool:
-        return _k4_obstruction(cs, fs[i], fs[j]) is None
+    def ok(layer: _Layer, i: int, j: int) -> bool:
+        return _k4_obstruction(layer, fs[i], fs[j]) is None
 
     hub = next(
-        x for x in range(3) if all(ok(ca, x, y) for y in range(3) if y != x)
+        x for x in range(3) if all(ok(la, x, y) for y in range(3) if y != x)
     )
     y, z = [t for t in range(3) if t != hub]
-    if ok(cb, y, 3):
+    if ok(lb, y, 3):
         pair_a, pair_b = (hub, z), (y, 3)
-    elif ok(cb, z, 3):
+    elif ok(lb, z, 3):
         pair_a, pair_b = (hub, y), (z, 3)
     else:
         raise InternalInvariantError("no workable pairing for the second set")
-    res_a = integrate_two_edges(ca, fs[pair_a[0]], fs[pair_a[1]])
-    res_b = integrate_two_edges(cb, fs[pair_b[0]], fs[pair_b[1]])
+    res_a = _two_edges(la, fs[pair_a[0]], fs[pair_a[1]])
+    res_b = _two_edges(lb, fs[pair_b[0]], fs[pair_b[1]])
     if not isinstance(res_a, TwoPaths) or not isinstance(res_b, TwoPaths):
         raise InternalInvariantError("chosen pairings were obstructed after all")
     return [res_a.p, res_a.q, res_b.p, res_b.q]

@@ -5,6 +5,7 @@ lines; every tolerance is exact (combinatorial counts), and the one timing
 budget is asserted directly.
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -280,9 +281,11 @@ def _brute_demarcation(cycles, f1, f2):
 def test_criterion_9_kit_exhaustive():
     """All (cycle set, two disjoint edges) configurations on at most 8
     vertices: the kit succeeds exactly off the obstruction, and the
-    obstruction test agrees with an independent demarcation count."""
+    obstruction test agrees with an independent demarcation count.  One
+    hash over every (verdict, result) pins the kit's output bytes."""
     configs = 0
     exceptional = 0
+    digest = hashlib.sha256()
     for c in (0, 3, 4, 5, 6, 7, 8):
         for cset in cycle_partitions(tuple(range(c))):
             for extra in range(0, 8 - c + 1):
@@ -299,6 +302,7 @@ def test_criterion_9_kit_exhaustive():
                         exc = is_exceptional_k4(cset, f1, f2)
                         assert exc == _brute_demarcation(cset, f1, f2)
                         res = integrate_two_edges(cset, f1, f2)
+                        digest.update(repr((exc, res)).encode())
                         if isinstance(res, ExceptionalCase):
                             exceptional += 1
                             assert exc
@@ -311,6 +315,9 @@ def test_criterion_9_kit_exhaustive():
                             assert xor_members(res) == target
                         configs += 1
     assert exceptional > 0
+    assert digest.hexdigest() == (
+        "eb3fd13475d28c09a137e25596a0b4f271c2878b330f8ff70292ca9ba34307ad"
+    )
     _report(
         "criterion 9 (kit exhaustive)",
         f"{configs} configurations, {exceptional} obstructed, zero disagreements",

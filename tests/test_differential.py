@@ -5,7 +5,8 @@ witness the layer peeling and odd-path peeling produce is checked to sit
 between the floors, the exact minimum and the guaranteed ceiling, and the
 two-path kit's obstruction test is checked against the oracle's verdict.
 The isolated-vertex and additive-bound covers are checked against the
-oracle on every nonempty graph with n <= 5 and on seeded G(6, p).
+oracle on every nonempty graph with n <= 5 and on seeded G(6, p), and the
+two-forest compression on every even graph with n <= 5.
 """
 
 from itertools import combinations
@@ -23,13 +24,20 @@ from oddcover.core import (
     norm_edge,
     verify_cover,
 )
-from oddcover.oracle import exact_c2, exact_linear_arboricity, exact_p2, exact_p2_iso
+from oddcover.oracle import (
+    exact_c2,
+    exact_linear_arboricity,
+    exact_linear_forests,
+    exact_p2,
+    exact_p2_iso,
+)
 from oddcover.solver import (
     cover_first_bound,
     cycle_odd_cover,
     iso_cover_general,
     path_odd_cover,
 )
+from oddcover.systems import two_path_cover_la2
 from oddcover.twopaths import (
     ExceptionalCase,
     TwoPaths,
@@ -183,3 +191,20 @@ def test_iso_cover_against_the_oracle():
 def test_first_bound_cover_against_the_oracle():
     for g in _small_graphs():
         assert cover_first_bound(g).count >= exact_p2(g)[0]
+
+
+def test_two_forest_compression_against_the_oracle():
+    # wherever two linear forests split an even graph, two paths cover it
+    split = 0
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            if not g.m or not g.is_even():
+                continue
+            forests = exact_linear_forests(g, 2)
+            if forests is None:
+                continue
+            tp = two_path_cover_la2(g, *forests)
+            assert verify_cover(OddCover(g, list(tp), "path")).valid
+            assert exact_p2(g)[0] <= 2
+            split += 1
+    assert split == 70

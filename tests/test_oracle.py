@@ -4,10 +4,15 @@ from functools import lru_cache
 import pytest
 
 from oddcover import oracle
-from oddcover.core import Graph, degree_profile, lower_bound, verify_cover
+from oddcover.core import (
+    Graph,
+    degree_profile,
+    lower_bound,
+    max_subgraph_density,
+    verify_cover,
+)
 from oddcover.families import disjoint_cycles
 from oddcover.oracle import (
-    arboricity_density,
     bound_gap_scan,
     enumerate_cycles,
     enumerate_paths,
@@ -61,7 +66,7 @@ def test_exact_p2_k4_plus_k3_is_gap_one():
     g = Graph(7, list(K(4).edges) + [(4, 5), (5, 6), (4, 6)])
     k, cover = exact_p2(g)
     assert verify_cover(cover).valid
-    base = max(lower_bound(g), arboricity_density(g))
+    base = max(lower_bound(g), max_subgraph_density(g))
     assert k == base + 1 == 3
 
 
@@ -131,9 +136,9 @@ def test_exact_linear_forests():
 
 def test_arboricity_density_values():
     tree = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert arboricity_density(tree) == 1
-    assert arboricity_density(K(4)) == 2
-    assert arboricity_density(K(5)) == 3  # ceil(10/4)
+    assert max_subgraph_density(tree) == 1
+    assert max_subgraph_density(K(4)) == 2
+    assert max_subgraph_density(K(5)) == 3  # ceil(10/4)
 
 
 def test_oracle_below_constructive_and_above_floor():
@@ -151,7 +156,7 @@ def test_bound_chain_small():
             p2 = exact_p2(g)[0]
             p2i = exact_p2_iso(g, extra=min(2, 7 - g.n))[0]
             la = exact_linear_arboricity(g)[0]
-            a = arboricity_density(g)
+            a = max_subgraph_density(g)
             assert p2 >= p2i >= la >= a
 
 
@@ -162,7 +167,7 @@ def test_bound_chain_sampled_n6():
         p2 = exact_p2(g)[0]
         p2i = exact_p2_iso(g, extra=1)[0]
         la = exact_linear_arboricity(g)[0]
-        assert p2 >= p2i >= la >= arboricity_density(g)
+        assert p2 >= p2i >= la >= max_subgraph_density(g)
 
 
 def test_meet_in_middle_n7():

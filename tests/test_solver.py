@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 
 from oddcover import solver
@@ -360,3 +364,46 @@ def test_counterexample_iso_cover_uses_one_extra_vertex():
     cover = iso_cover_from_forests(g, forests)
     assert cover.count == 3 and cover.target.n == g.n + 1
     assert verify_cover(cover).valid
+
+
+_DENSE_SWEEP = """
+from itertools import combinations
+from oddcover.core import Graph, verify_cover
+from oddcover.families import gnp
+from oddcover.oracle import exact_linear_forests
+from oddcover.solver import iso_cover_general
+
+def complete(n):
+    return Graph(n, combinations(range(n), 2))
+
+graphs = [complete(n) for n in range(2, 11)]
+graphs += [
+    Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    for a in range(1, 6)
+    for b in range(a, 11 - a)
+]
+graphs += [gnp(n, p / 10, s) for n in (8, 9, 10) for p in range(5, 10) for s in range(8)]
+assert len(graphs) == 154
+assert exact_linear_forests(complete(9), 4) is None  # 4 * (9 - 1) < 36 edges
+for g in graphs:
+    cover, _ = iso_cover_general(g)
+    assert verify_cover(cover).valid
+"""
+
+
+def test_dense_iso_covers_return_promptly():
+    # K9's residual once sent exact_linear_forests through an exhaustive
+    # search; each child has a deadline, so a stall fails instead of hanging
+    sweep = subprocess.run(
+        [sys.executable, "-c", _DENSE_SWEEP], capture_output=True, text=True, timeout=60
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    k9 = "9 36\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(9), 2))
+    cli = subprocess.run(
+        [sys.executable, "-m", "oddcover.cli", "iso-cover", "-"],
+        input=k9,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert cli.returncode == 0, cli.stderr
