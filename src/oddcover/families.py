@@ -21,11 +21,12 @@ from .core import (
     Edge,
     Graph,
     InternalInvariantError,
+    cycle_edges,
     degree2_components,
     norm_edge,
     path_edges,
 )
-from .twopaths import Cycle, _arcs_between
+from .twopaths import Cycle
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -122,11 +123,10 @@ def counterexample(k: int) -> tuple[Graph, list[tuple[int, ...]], list[list[Edge
     removed = [norm_edge(0, 2 * i + 1) for i in range(k - 1)]
     removed.append(norm_edge(1, 2 * k - 2))
     paths_one = []
-    for i in range(k):
-        e = removed[i]
-        cyc = cycles[i]
-        arcs = _arcs_between(cyc, cyc.index(e[0]), cyc.index(e[1]))
-        paths_one.append(tuple(max(arcs, key=len)))  # the cycle minus e
+    for cyc, e in zip(cycles, removed):
+        # the cycle minus e: one path, which starts at its smaller end e[0]
+        (path,), _ = degree2_components(n1, set(cycle_edges(cyc)) - {e})
+        paths_one.append(path)
 
     h_edges = {
         norm_edge(u, v) for u in range(n1) for v in range(u + 1, n1)

@@ -32,13 +32,40 @@ from .systems import iso_cover_from_forests
 from .twopaths import (
     Cycle,
     TwoPaths,
+    _close_loose,
+    _Layer,
     choose_integrable_pair,
     cover_cycles,
     integrate_four_edges,
     integrate_one_edge,
     integrate_two_edges,
-    splice_stand_ins,
 )
+
+
+def _bfs(adj: list[list[int]], roots: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Breadth-first order and parent of every vertex reachable from roots.
+
+    Each root not reached from an earlier one starts a new tree; parent is
+    -1 at the roots and at vertices never reached.
+    """
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    order: list[int] = []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            x = order[i]
+            i += 1
+            for w in adj[x]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = x
+                    order.append(w)
+    return order, parent
 
 
 def peel_odd_path(g: Graph) -> tuple[tuple[int, ...], Graph]:
@@ -50,24 +77,12 @@ def peel_odd_path(g: Graph) -> tuple[tuple[int, ...], Graph]:
     _, v_odd, odd = degree_profile(g)
     if v_odd == 0:
         raise ValueError("graph has no odd-degree vertices")
-    u = odd[0]
-    adj = g.adjacency()
-    parent: dict[int, int | None] = {u: None}
-    queue = [u]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for w in adj[x]:
-            if w not in parent:
-                parent[w] = x
-                queue.append(w)
-    targets = [v for v in odd[1:] if v in parent]
+    _, parent = _bfs(g.adjacency(), odd[:1])
+    targets = [v for v in odd[1:] if parent[v] != -1]
     if not targets:
         raise InternalInvariantError("odd vertex isolated from all others")
-    v = min(targets)
-    walk = [v]
-    while parent[walk[-1]] is not None:
+    walk = [min(targets)]
+    while parent[walk[-1]] != -1:
         walk.append(parent[walk[-1]])
     walk.reverse()
     return tuple(walk), g.remove_edges(path_edges(walk))
@@ -88,24 +103,7 @@ def peel_odd_paths(g: Graph, p: int) -> tuple[list[tuple[int, ...]], Graph]:
     _, v_odd, odd = degree_profile(g)
     if not 0 <= p <= v_odd // 2:
         raise ValueError(f"can peel 0 to {v_odd // 2} odd paths, asked for {p}")
-    adj = g.adjacency()
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    order: list[int] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        i = len(order)
-        order.append(root)
-        while i < len(order):
-            x = order[i]
-            i += 1
-            for w in adj[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = x
-                    order.append(w)
+    order, parent = _bfs(g.adjacency(), range(g.n))
     is_odd = [False] * g.n
     for v in odd:
         is_odd[v] = True
@@ -284,25 +282,6 @@ def path_odd_cover(g: Graph) -> OddCover:
     return cover
 
 
-def _cover_cycles_and_paths(
-    cycles: Sequence[Cycle], paths: Sequence[tuple[int, ...]]
-) -> TwoPaths:
-    """Two paths odd-covering disjoint cycles plus one or two disjoint paths.
-
-    Each loose path is stood in for by the edge joining its endpoints, the
-    edges are integrated into the cycles (their endpoints are off every
-    cycle, so the obstruction cannot occur), and the stand-ins are expanded
-    back.
-    """
-    if len(paths) != 2:
-        raise ValueError("exactly two loose paths expected")
-    fps = [norm_edge(p[0], p[-1]) for p in paths]
-    res = integrate_two_edges(cycles, fps[0], fps[1])
-    if not isinstance(res, TwoPaths):
-        raise InternalInvariantError("loose-path closing hit the obstruction")
-    return splice_stand_ins(res, zip(fps, paths))
-
-
 def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     """Odd-cover allowing added isolated vertices, per the 2t + la(d) budget.
 
@@ -320,10 +299,10 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     t, d = budget.t, budget.d
 
     if v_odd == 4 and delta <= 2:
+        # exactly two loose paths; closing is order-sensitive, so keep them
+        # in the order of their smallest vertex
         loose, cyc = degree2_components(g.n, g.edges)
-        # integrate_two_edges is order-sensitive: keep the paths in the
-        # order of their smallest vertex.
-        tp = _cover_cycles_and_paths(cyc, sorted(loose, key=min))
+        tp = _close_loose(_Layer.canonical(cyc), sorted(loose, key=min))
         cover = OddCover(g, [tp.p, tp.q], "path")
         if not verify_cover(cover).valid:
             raise InternalInvariantError("two-path case failed self-check")
@@ -336,22 +315,19 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
         return cover, "direct"
 
     m = sorted(odd_matching(g))
-    g2 = g.xor(m)
-    layers = peel_cycle_layers(g2)
-    head = layers[:t]
-    tail = layers[t:]
-    head_edges = [e for layer in head for c in layer for e in cycle_edges(c)]
-    members = _spend_layers(peel_cycle_layers(Graph(g.n, head_edges)), m)
+    layers = peel_cycle_layers(g.xor(m))
+    head, tail = layers[:t], layers[t:]
+    members = _spend_layers(head, m)
 
     branch = "layer-pairs"
     n_total = g.n
     if tail:
-        tail_edges = [e for layer in tail for c in layer for e in cycle_edges(c)]
-        residual = Graph(g.n, tail_edges)
-        delta_r, _, _ = degree_profile(residual)
+        residual = Graph(g.n, [e for layer in tail for c in layer for e in cycle_edges(c)])
+        # every maximum-degree vertex of g XOR M lies on every layer, so the
+        # residual's maximum degree is 2 * len(tail)
         forests = None
         if g.n <= MAX_FOREST_N:
-            for k in range(max(1, -(-delta_r // 2)), d + 1):
+            for k in range(len(tail), d + 1):
                 forests = exact_linear_forests(residual, k)
                 if forests is not None:
                     break

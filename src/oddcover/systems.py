@@ -832,27 +832,18 @@ def two_path_cover_la2(
     verified two-path odd-cover, adding no vertices.
 
     Because all degrees are even, every path endpoint is shared by the two
-    forests, so the system has no type I endpoints and join alone finishes.
+    forests: the system has no type I endpoints, so its reduction only joins
+    (an insert would add a vertex).
     """
     if not g.is_even():
         raise ValueError("two-forest compression needs all degrees even")
     if g.m == 0:
         raise ValueError("graph has no edges")
     comps = _check_forest_partition(g, [forest1, forest2])
-    sys = PathSystem([comps[0], comps[1]], g.n)
-    idx = _validated_index(sys)
-    if any(idx.ones):
-        raise ValueError("decomposition has an unmatched endpoint")
-    while len(idx.colls[0]) > 1:
-        a, b = idx.first_two(0)
-        p, pp = idx.colls[0][a], idx.colls[0][b]
-        v, u = p[0], p[-1]
-        q_ent = idx.other(v, (0, a))
-        q = idx.colls[q_ent[0]][q_ent[1]]
-        w = q[0] if q[-1] == v else q[-1]
-        x = pp[0] if pp[0] not in (u, v, w) else pp[-1]
-        idx.join(v, x)
-    p, q = (next(iter(c.values())) for c in idx.colls)
+    sys, events = reduce_system(PathSystem(comps, g.n))
+    if events:
+        raise InternalInvariantError("two-forest compression subdivided an edge")
+    p, q = (coll[0] for coll in sys.collections)
     if odd_edges((p, q)) != g.edges:
         raise InternalInvariantError("two-forest compression failed self-check")
     return TwoPaths(p, q)

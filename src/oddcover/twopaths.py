@@ -17,9 +17,12 @@ an internal vertex.  `is_exceptional_k4` recognizes the obstruction,
 `integrate_four_edges` distributes four edges over two cycle sets.
 
 Each public call indexes its canonical, sorted cycles once as a private
-`_Layer` (the cycle and position of every vertex), and every construction
-reads where a vertex or an edge sits from it; a reduction that recurses on
-a rebuilt cycle set indexes that set in the order it built it.
+`_Layer` (the cycle and position of every vertex, and the arcs between two
+vertices), and every construction reads where a vertex or an edge sits from
+it; a reduction that recurses on a rebuilt cycle set indexes that set in the
+order it built it.  One private routine, `_close_loose`, covers a layer plus
+two loose paths off it through stand-in edges; the two-cut-edges case here
+and the solver's two-loose-paths case both use it.
 
 Every public function re-checks its own output: the returned paths must be
 simple and their edge-parity XOR must equal the requested target, else an
@@ -80,14 +83,6 @@ def canon_cycle(cycle: Sequence[int]) -> Cycle:
     return tuple(vs)
 
 
-def _arcs_between(cycle: Cycle, ia: int, ib: int) -> tuple[list[int], list[int]]:
-    """Both arcs of the cycle from position ia to position ib, as vertex lists."""
-    ring, ell = cycle + cycle, len(cycle)
-    fwd = list(ring[ia : ia + (ib - ia) % ell + 1])
-    bwd = list(ring[ib : ib + (ia - ib) % ell + 1])[::-1]
-    return fwd, bwd
-
-
 class _Layer:
     """A vertex-disjoint cycle set, indexed once.
 
@@ -127,8 +122,13 @@ class _Layer:
         return _Layer([c for i, c in enumerate(self.cycles) if i not in js])
 
     def arcs(self, a: int, b: int) -> tuple[list[int], list[int]]:
-        """Both arcs from a to b of the cycle through both."""
-        return _arcs_between(self.cycles[self.owner[a]], self.pos[a], self.pos[b])
+        """Both arcs from a to b of the cycle through both, as vertex lists."""
+        cycle = self.cycles[self.owner[a]]
+        ia, ib, ell = self.pos[a], self.pos[b], len(cycle)
+        ring = cycle + cycle
+        fwd = list(ring[ia : ia + (ib - ia) % ell + 1])
+        bwd = list(ring[ib : ib + (ia - ib) % ell + 1])[::-1]
+        return fwd, bwd
 
     def cut(self, f: Edge) -> list[int]:
         """The cycle through the edge f as a path from f[0] to f[1] avoiding f."""
@@ -599,11 +599,21 @@ def _minus_two(layer: _Layer, f1: Edge, f2: Edge) -> TwoPaths:
     rest = layer.without(*broken)
     if not rest.cycles:
         return TwoPaths(tuple(segs[0]), tuple(segs[1]))
-    fps = [norm_edge(s[0], s[-1]) for s in segs]
-    sub = _integrate_two(rest, fps[0], fps[1])
+    return _close_loose(rest, segs)
+
+
+def _close_loose(layer: _Layer, loose: Sequence[Sequence[int]]) -> TwoPaths:
+    """Two paths covering the layer plus two disjoint loose paths off it.
+
+    Each loose path is stood in for by the edge joining its ends; those ends
+    lie off every cycle, so the obstruction cannot occur.  The stand-ins are
+    then expanded back.  Unchecked: the caller checks what it builds.
+    """
+    fps = [norm_edge(w[0], w[-1]) for w in loose]
+    sub = _integrate_two(layer, fps[0], fps[1])
     if not isinstance(sub, TwoPaths):
-        raise InternalInvariantError("segment-closing reduction hit the obstruction")
-    return splice_stand_ins(sub, zip(fps, segs))
+        raise InternalInvariantError("loose-path closing hit the obstruction")
+    return splice_stand_ins(sub, zip(fps, loose))
 
 
 def _plus_minus(layer: _Layer, f_in: Edge, f_out: Edge) -> TwoPaths:

@@ -1,4 +1,9 @@
-"""Shared generators for the test suite."""
+"""Shared generators for the test suite.
+
+Test modules import it by name.  It holds no fixtures, and it is not a
+`conftest.py`, so it cannot clash with the benchmark tests' conftest when
+both directories run in one session.
+"""
 
 from __future__ import annotations
 
@@ -106,6 +111,35 @@ def hamiltonian_forests(n, seed):
         for i in range(n):
             forests[2 if i % 5 == 0 else c].append(norm_edge(order[i - 1], order[i]))
     return Graph(n, [e for f in forests for e in f]), forests
+
+
+def linear_forest_pair(n, r, seed):
+    """An even graph split into two linear forests, each of r paths.
+
+    The first forest cuts a shuffled vertex order into r paths.  The second
+    pairs the 2r ends afresh and joins each pair through a few interior
+    vertices of the first forest, each used at most once; a draw that
+    repeats an edge of the first forest is redrawn.  Every end then has
+    degree 2 and every other vertex degree 2 or 4.
+    """
+    rng = random.Random(seed)
+    while True:
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(2, n - 1, 2), r - 1))
+        first = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        ends = [v for p in first for v in (p[0], p[-1])]
+        inner = [v for p in first for v in p[1:-1]]
+        rng.shuffle(ends)
+        rng.shuffle(inner)
+        second = []
+        for i in range(r):
+            k = rng.randrange(0, min(3, len(inner)) + 1)
+            second.append([ends[2 * i]] + inner[:k] + [ends[2 * i + 1]])
+            inner = inner[k:]
+        f1 = [norm_edge(a, b) for p in first for a, b in zip(p, p[1:])]
+        f2 = [norm_edge(a, b) for p in second for a, b in zip(p, p[1:])]
+        if not set(f1) & set(f2):
+            return Graph(n, f1 + f2), f1, f2
 
 
 def gnm(n, m, seed):

@@ -37,7 +37,7 @@ from oddcover.twopaths import (
     is_exceptional_k4,
 )
 
-from conftest import all_graphs, cycle_partitions, random_graph, rng_for, xor_members
+from support import all_graphs, cycle_partitions, random_graph, rng_for, xor_members
 
 
 def _report(name: str, detail: str) -> None:

@@ -15,7 +15,7 @@ from oddcover.families import counterexample, disjoint_cycles
 from oddcover.oracle import EdgeVector, edge_index
 from oddcover.twopaths import cover_cycles
 
-from conftest import all_graphs, random_graph, rng_for, xor_members
+from support import all_graphs, random_graph, rng_for, xor_members
 
 
 def test_edge_index_is_bit_exact():

@@ -14,7 +14,7 @@ from oddcover.cycles import (
 from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 
-from conftest import hamiltonian_union, random_graph, rng_for
+from support import hamiltonian_union, random_graph, rng_for
 
 
 def digest(obj):

@@ -45,7 +45,7 @@ from oddcover.twopaths import (
     is_exceptional_k4,
 )
 
-from conftest import all_graphs, random_graph, rng_for
+from support import all_graphs, random_graph, rng_for
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -196,7 +196,7 @@ def test_first_bound_cover_against_the_oracle():
 def test_two_forest_compression_against_the_oracle():
     # wherever two linear forests split an even graph, two paths cover it
     split = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in all_graphs(n):
             if not g.m or not g.is_even():
                 continue
@@ -207,4 +207,4 @@ def test_two_forest_compression_against_the_oracle():
             assert verify_cover(OddCover(g, list(tp), "path")).valid
             assert exact_p2(g)[0] <= 2
             split += 1
-    assert split == 70
+    assert split == 70 + 942  # n <= 5, then n = 6

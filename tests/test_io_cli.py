@@ -14,7 +14,7 @@ from oddcover.io import (
     witness_json,
 )
 
-from conftest import random_graph, rng_for
+from support import random_graph, rng_for
 
 
 def run_cli(*args, stdin=None, env=None):

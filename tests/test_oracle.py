@@ -24,7 +24,7 @@ from oddcover.oracle import (
 )
 from oddcover.solver import path_odd_cover
 
-from conftest import all_graphs, random_graph, rng_for
+from support import all_graphs, random_graph, rng_for
 
 
 def K(n):

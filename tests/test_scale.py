@@ -8,7 +8,7 @@ from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
-from conftest import gnm, hamiltonian_forests, hamiltonian_union
+from support import gnm, hamiltonian_forests, hamiltonian_union
 
 
 def test_cycle_odd_cover_six_regular_20000():

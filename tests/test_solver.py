@@ -33,7 +33,7 @@ from oddcover.solver import (
 )
 from oddcover.systems import iso_cover_from_forests
 
-from conftest import rng_for
+from support import rng_for
 
 
 def K(n):
@@ -336,6 +336,26 @@ def test_iso_cover_general_negative_budget():
     cover, branch = iso_cover_general(g)
     assert branch == "direct" and cover.count <= 4
     assert verify_cover(cover).valid
+
+
+@pytest.mark.parametrize(
+    "n, branch, m2",
+    [(5, "linear-arboricity", 10), (6, "no-residual", 12), (7, "linear-arboricity", 21)],
+)
+def test_iso_cover_general_peels_once(monkeypatch, n, branch, m2):
+    # the first t layers of g XOR M absorb the matching as they are; the
+    # residual is the remaining layers, so nothing is peeled a second time
+    calls = []
+    real = solver.peel_cycle_layers
+
+    def spy(g):
+        calls.append(g.m)
+        return real(g)
+
+    monkeypatch.setattr(solver, "peel_cycle_layers", spy)
+    cover, got = iso_cover_general(K(n))
+    assert verify_cover(cover).valid and calls == [m2]
+    assert got == branch
 
 
 def test_iso_cover_general_random():

@@ -33,7 +33,14 @@ from oddcover.systems import (
     two_path_cover_la2,
 )
 
-from conftest import hamiltonian_forests, hamiltonian_union, random_graph, rng_for, xor_members
+from support import (
+    hamiltonian_forests,
+    hamiltonian_union,
+    linear_forest_pair,
+    random_graph,
+    rng_for,
+    xor_members,
+)
 
 
 def square_system():
@@ -307,15 +314,23 @@ def test_witness_bytes_pinned():
     forest = [
         iso_cover_from_forests(*hamiltonian_forests(300, seed)).members for seed in (1, 2, 3)
     ]
+    sizes = [(8, 2), (12, 3), (20, 4), (40, 6), (120, 10), (300, 20)] * 3
+    la2 = [
+        list(two_path_cover_la2(*linear_forest_pair(n, r, seed)))
+        for seed, (n, r) in enumerate(sizes)
+    ]
     digests = {
         name: hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-        for name, rows in (("top", top), ("cycle_top", cyc), ("iso", iso), ("forest", forest))
+        for name, rows in (
+            ("top", top), ("cycle_top", cyc), ("iso", iso), ("forest", forest), ("la2", la2)
+        )
     }
     assert digests == {
         "top": "54ae4546d67a8db565eb8252d312c7d48126ce9a251b462a6f8aa87f3fe7f9cc",
         "cycle_top": "177c76ce69c7a28d518dfb6f2c48a968e05f72ced4534d569d089255ddb89876",
-        "iso": "fbab1cfd3bed1e0085cb9f17d54378ba9ef0308c56fbf510a242dbd39cd596db",
+        "iso": "49d0b14d0c39b437d4469994030d2580ae76261049f5dadcf5cdffc2ef0a0fd4",
         "forest": "9c39589b1804fe19ffabae557cc0e9a433718cd04638ab49ee744fff9eac3981",
+        "la2": "69c47cf80d103cd4272f5d8dde75be1f45452eb876fd61cb71bf970f3d1ad837",
     }
 
 

@@ -19,7 +19,7 @@ from oddcover.twopaths import (
     splice_stand_ins,
 )
 
-from conftest import cycle_partitions, random_cycle_set, rng_for, xor_members
+from support import cycle_partitions, random_cycle_set, rng_for, xor_members
 
 
 def cycle_edges_of(cycles):
