@@ -5,6 +5,9 @@ sets XOR to E(G); covers may use nonedges, which is why far fewer paths are
 needed than for edge-disjoint decompositions.  This package builds covers
 meeting the degree bounds, exact minimum covers on small universes, and the
 relaxations that allow subdividing G or adding isolated vertices.
+
+The package exports the entry points README.md documents, with the types
+they take and return; every other function stays importable from its module.
 """
 
 from .core import (
@@ -17,27 +20,17 @@ from .core import (
     max_subgraph_density,
     verify_cover,
 )
-from .cycles import (
-    balanced_orientation,
-    max_degree_cycle_cover,
-    odd_matching,
-    peel_cycle_layers,
-)
+from .cycles import peel_cycle_layers
 from .families import (
     counterexample,
-    cycles_on_path,
     disjoint_cycles,
     eulerian_random,
-    generate,
     gnp,
     walecki_cycles,
 )
-from .io import emit_edge_list, parse_edge_list, parse_graph6, witness_json
 from .oracle import (
     EdgeVector,
     bound_gap_scan,
-    enumerate_cycles,
-    enumerate_paths,
     exact_c2,
     exact_linear_arboricity,
     exact_linear_forests,
@@ -45,27 +38,17 @@ from .oracle import (
     exact_p2_iso,
 )
 from .solver import (
-    SolveBudget,
-    cover_eulerian_plus_matching,
     cover_first_bound,
     cycle_odd_cover,
     iso_cover_general,
     path_odd_cover,
-    peel_odd_path,
     peel_odd_paths,
-    solve_budget,
 )
 from .systems import (
     PathSystem,
-    classify_endpoints,
     cycle_iso_cover,
     cycle_top_cover,
-    insert,
-    is_well_distributed,
     iso_cover_from_forests,
-    join,
-    meet,
-    reduce_system,
     topological_cover,
     two_path_cover_la2,
 )

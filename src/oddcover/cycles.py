@@ -33,27 +33,52 @@ def odd_matching(g: Graph) -> frozenset[Edge]:
     such an edge lowers that vertex's degree), then nonedge pairs avoiding
     maximum-degree endpoints (adding one elsewhere cannot raise the maximum
     past the even-rounded ceiling); vertex ids break ties.
+
+    The smallest unmatched u takes the least partner of the first class that
+    has one: an unmatched neighbour from u's own row, else the first
+    unmatched vertex below the maximum that is not u's neighbour (a walk of
+    at most deg(u) + 1 steps), else the least unmatched vertex.  O(n + m).
     """
     deg = g.degrees()
     delta = max(deg, default=0)
-    unmatched = [v for v in range(g.n) if deg[v] % 2]
+    odd = [v for v in range(g.n) if deg[v] % 2]
+    row: dict[int, list[int]] = {v: [] for v in odd}
+    for a, b in g.edges:
+        if deg[a] % 2 and deg[b] % 2:
+            row[a].append(b)
+            row[b].append(a)
+    # id-ordered linked lists of the unmatched odd vertices (all of them, and
+    # those below delta) as successor and predecessor maps; -1 is the head
+    chains = [
+        (dict(zip([-1] + vs, vs + [-1])), dict(zip(vs + [-1], [-1] + vs)))
+        for vs in (odd, [v for v in odd if deg[v] != delta])
+    ]
+    unmatched, low = chains[0][0], chains[1][0]
+
+    def take(v: int) -> None:
+        for nxt, prv in chains:
+            if v in nxt:
+                p, q = prv.pop(v), nxt.pop(v)
+                nxt[p], prv[q] = q, p
+
     pairs = set()
-    while unmatched:
-        u = unmatched.pop(0)
-
-        def priority(v: int) -> tuple[int, int]:
-            is_edge = g.has_edge(u, v)
-            touches_max = deg[u] == delta or deg[v] == delta
-            if is_edge and touches_max:
-                cls = 0
-            elif not is_edge and not touches_max:
-                cls = 1
-            else:
-                cls = 2
-            return (cls, v)
-
-        v = min(unmatched, key=priority)
-        unmatched.remove(v)
+    while unmatched[-1] != -1:
+        u = unmatched[-1]
+        take(u)
+        top = deg[u] == delta
+        near = [v for v in row[u] if v in unmatched and (top or deg[v] == delta)]
+        if near:
+            v = min(near)
+        else:
+            v = -1
+            if not top:
+                adjacent = set(row[u])
+                v = low[-1]
+                while v in adjacent:
+                    v = low[v]
+            if v == -1:
+                v = unmatched[-1]
+        take(v)
         pairs.add(norm_edge(u, v))
     return frozenset(pairs)
 

@@ -126,22 +126,6 @@ def _cycle_generators(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], .
     return tuple(masks), tuple(seqs)
 
 
-def enumerate_paths(n: int) -> list[EdgeVector]:
-    """Edge vectors of every path on >= 2 vertices of the n-universe."""
-    if n > MAX_ORACLE_N:
-        raise ValueError(f"path enumeration capped at n <= {MAX_ORACLE_N}")
-    masks, _ = _path_generators(n)
-    return [EdgeVector(n, m) for m in masks]
-
-
-def enumerate_cycles(n: int) -> list[EdgeVector]:
-    """Edge vectors of every cycle on >= 3 vertices of the n-universe."""
-    if n > MAX_ORACLE_N:
-        raise ValueError(f"cycle enumeration capped at n <= {MAX_ORACLE_N}")
-    masks, _ = _cycle_generators(n)
-    return [EdgeVector(n, m) for m in masks]
-
-
 class _XorSearch:
     """Layered BFS over the edge space generated by a fixed vector set."""
 

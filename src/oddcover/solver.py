@@ -31,14 +31,12 @@ from .cycles import odd_matching, peel_cycle_layers
 from .systems import iso_cover_from_forests
 from .twopaths import (
     Cycle,
-    TwoPaths,
     _close_loose,
     _Layer,
     choose_integrable_pair,
     cover_cycles,
     integrate_four_edges,
     integrate_one_edge,
-    integrate_two_edges,
 )
 
 
@@ -242,14 +240,6 @@ def cover_eulerian_plus_matching(
     return cover
 
 
-def disjoint_cycles_of(g: Graph) -> list[Cycle]:
-    """The components of a 2-regular-or-empty graph as cycle tuples."""
-    paths, cycles = degree2_components(g.n, g.edges)
-    if paths:
-        raise ValueError("component is not a cycle")
-    return cycles
-
-
 def path_odd_cover(g: Graph) -> OddCover:
     """Odd-cover with at most max{v_odd/2, 2*ceil(delta/2)} paths."""
     members: list[tuple[int, ...]] = []
@@ -266,14 +256,14 @@ def path_odd_cover(g: Graph) -> OddCover:
         delta, v_odd, _ = degree_profile(cur)
         delta_e = 2 * -(-delta // 2)
 
-    m = sorted(odd_matching(cur))
-    if delta <= 2 and len(m) == 2:
-        g2 = cur.xor(m)
-        res = integrate_two_edges(disjoint_cycles_of(g2), m[0], m[1])
-        if not isinstance(res, TwoPaths):
-            raise InternalInvariantError("low-degree pair case hit the obstruction")
-        members += [res.p, res.q]
-    elif cur.m or m:
+    if v_odd == 4 and delta <= 2:
+        # exactly two loose paths; closing is order-sensitive, so keep them
+        # in the order of their smallest vertex
+        loose, cycles = degree2_components(cur.n, cur.edges)
+        tp = _close_loose(_Layer.canonical(cycles), sorted(loose, key=min))
+        members += [tp.p, tp.q]
+    elif cur.m:
+        m = sorted(odd_matching(cur))
         members += _spend_layers(peel_cycle_layers(cur.xor(m)), m)
 
     cover = OddCover(g, members, "path")
@@ -298,21 +288,11 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     budget = solve_budget(g)
     t, d = budget.t, budget.d
 
-    if v_odd == 4 and delta <= 2:
-        # exactly two loose paths; closing is order-sensitive, so keep them
-        # in the order of their smallest vertex
-        loose, cyc = degree2_components(g.n, g.edges)
-        tp = _close_loose(_Layer.canonical(cyc), sorted(loose, key=min))
-        cover = OddCover(g, [tp.p, tp.q], "path")
-        if not verify_cover(cover).valid:
-            raise InternalInvariantError("two-path case failed self-check")
-        return cover, "two-paths"
-
-    if d < 0:
+    if d < 0 or (v_odd == 4 and delta <= 2):
         cover = path_odd_cover(g)
         if cover.count > v_odd // 2:
-            raise InternalInvariantError("negative-budget case exceeded v_odd/2")
-        return cover, "direct"
+            raise InternalInvariantError("direct or two-path case exceeded v_odd/2")
+        return cover, "direct" if d < 0 else "two-paths"
 
     m = sorted(odd_matching(g))
     layers = peel_cycle_layers(g.xor(m))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
 from typing import Iterable, Sequence
 
 from .core import (
@@ -962,48 +963,57 @@ def cycle_top_cover(
     if g.m == 0:
         return g, OddCover(g, [], "cycle"), {}
 
-    paths, chains, edge2orig, nxt = _reduced_topological_paths(g)
-    paths = [tuple(p) for p in paths]
+    reduced, chains, edge2orig, nxt = _reduced_topological_paths(g)
+    # Live paths by id; a new path takes the next id, so ascending ids are
+    # the order the paths were made.  ends[x] holds the ids of the live
+    # paths ending at x, and the lazy heap `longs` the ids of paths on >= 3
+    # vertices: its least live id is the next base.
+    paths: dict[int, Path] = {}
+    ends: dict[int, set[int]] = {}
+    longs: list[int] = []
+    ids = count()
+
+    def add(p: Sequence[int]) -> None:
+        i = next(ids)
+        paths[i] = p = tuple(p)
+        for x in (p[0], p[-1]):
+            ends.setdefault(x, set()).add(i)
+        if len(p) >= 3:
+            heappush(longs, i)
+
+    def drop(i: int) -> Path:
+        p = paths.pop(i)
+        ends[p[0]].discard(i)
+        ends[p[-1]].discard(i)
+        return p
+
+    def partner(x: int) -> int:
+        if len(ends[x]) != 1:
+            raise InternalInvariantError("endpoint lost its partner")
+        return next(iter(ends[x]))
+
+    for p in reduced:
+        add(p)
     cycles_out: list[Path] = []
     while paths:
-        base_i = next(
-            (t for t, p in enumerate(paths) if len(p) >= 3), None
-        )
-        if base_i is None:
+        while longs and longs[0] not in paths:
+            heappop(longs)
+        if not longs:
             raise InternalInvariantError("only single-edge paths remain")
-        base = paths[base_i]
+        base = drop(heappop(longs))
         u, v = base[0], base[-1]
-
-        def partner(vertex: int) -> int:
-            hits = [
-                t
-                for t, p in enumerate(paths)
-                if t != base_i and vertex in (p[0], p[-1])
-            ]
-            if len(hits) != 1:
-                raise InternalInvariantError("endpoint lost its partner")
-            return hits[0]
-
         pu, pv = partner(u), partner(v)
+        cycles_out.append(base)
         if pu == pv:
-            other = paths[pu]
-            cycles_out.append(base)
+            other = drop(pu)
             if len(other) >= 3:
                 cycles_out.append(other)
-            paths = [p for t, p in enumerate(paths) if t not in (base_i, pu)]
         else:
-            side = _orient_start(paths[pu], u)
-            z = side[1]
-            z_new = nxt
+            side = _orient_start(drop(pu), u)
+            _apply_subdivision(chains, edge2orig, side[1], u, nxt)
+            add((nxt,) + side[1:])
+            add((nxt, u) + _orient_start(drop(pv), v))
             nxt += 1
-            _apply_subdivision(chains, edge2orig, z, u, z_new)
-            shortened = (z_new,) + side[1:]
-            extended = (z_new, u) + _orient_start(paths[pv], v)
-            cycles_out.append(base)
-            keep = [
-                p for t, p in enumerate(paths) if t not in (base_i, pu, pv)
-            ]
-            paths = keep + [shortened, extended]
     h = _graph_from_chains(chains, nxt)
     cover = OddCover(h, cycles_out, "cycle")
     report = verify_cover(cover)

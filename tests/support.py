@@ -7,9 +7,13 @@ both directories run in one session.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 from oddcover.core import Graph, cycle_edges, norm_edge, path_edges
 
@@ -151,6 +155,59 @@ def gnm(n, m, seed):
         if u != v:
             edges.add(norm_edge(u, v))
     return Graph(n, edges)
+
+
+def star(n):
+    """K_{1,n}: hub 0 joined to leaves 1..n."""
+    return Graph(n + 1, [(0, v) for v in range(1, n + 1)])
+
+
+def windmill(t):
+    """t triangles sharing the hub 0: m = 3t, hub degree 2t."""
+    return Graph(
+        2 * t + 1,
+        [e for i in range(t) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))],
+    )
+
+
+def reference_odd_matching(g):
+    """The quadratic greedy that `cycles.odd_matching` must agree with: the
+    smallest unmatched odd u takes the least v by (class, id), where class 0
+    is an edge meeting a maximum-degree vertex, class 1 a nonedge avoiding
+    both, class 2 anything else."""
+    deg = g.degrees()
+    delta = max(deg, default=0)
+    unmatched = [v for v in range(g.n) if deg[v] % 2]
+    pairs = set()
+    while unmatched:
+        u = unmatched.pop(0)
+
+        def priority(v):
+            is_edge = g.has_edge(u, v)
+            touches_max = deg[u] == delta or deg[v] == delta
+            if is_edge and touches_max:
+                return (0, v)
+            return (1 if not is_edge and not touches_max else 2, v)
+
+        v = min(unmatched, key=priority)
+        unmatched.remove(v)
+        pairs.add(norm_edge(u, v))
+    return frozenset(pairs)
+
+
+def run_with_deadline(code: str, seconds: float) -> subprocess.CompletedProcess:
+    """Run `code` in a child interpreter that imports the package from `src`
+    and this module by name.  A stall past the deadline raises
+    subprocess.TimeoutExpired, so it fails a test instead of hanging the suite."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
 
 
 def rng_for(name: str) -> random.Random:

@@ -129,9 +129,7 @@ def test_verify_two_path_cover_of_disjoint_cycles():
 
 
 def sorted_cycles(g):
-    from oddcover.solver import disjoint_cycles_of
-
-    return disjoint_cycles_of(g)
+    return degree2_components(g.n, g.edges)[1]
 
 
 def test_verify_self_cancellation_is_invalid():

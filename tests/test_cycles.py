@@ -14,7 +14,15 @@ from oddcover.cycles import (
 from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 
-from support import hamiltonian_union, random_graph, rng_for
+from support import (
+    hamiltonian_union,
+    random_graph,
+    reference_odd_matching,
+    rng_for,
+    run_with_deadline,
+    star,
+    windmill,
+)
 
 
 def digest(obj):
@@ -55,6 +63,31 @@ def test_odd_matching_properties_random():
         assert sorted(v for e in m for v in e) == odd
         g2 = g.xor(m)
         assert g2.is_even()
+
+
+def test_odd_matching_matches_the_quadratic_greedy():
+    rng = rng_for("odd-matching-reference")
+    graphs = [random_graph(rng.randrange(0, 41), rng.random(), rng) for _ in range(600)]
+    graphs += [star(n) for n in range(12)] + [windmill(t) for t in range(8)]
+    # a pendant on the hub makes the maximum degree odd
+    graphs += [Graph(2 * t + 2, windmill(t).edges | {(0, 2 * t + 1)}) for t in range(8)]
+    for g in graphs:
+        assert odd_matching(g) == reference_odd_matching(g)
+
+
+_STAR_MATCHING = """
+from oddcover.cycles import odd_matching
+from support import star
+m = odd_matching(star(10 ** 5))
+assert m == frozenset((v, v + 1) for v in range(1, 10 ** 5, 2))
+"""
+
+
+def test_odd_matching_is_linear_on_a_star():
+    # all 10^5 leaves are odd; a greedy that rescans the unmatched vertices
+    # for every pick needs about 25 minutes at this size, so the deadline fails it
+    run = run_with_deadline(_STAR_MATCHING, 30)
+    assert run.returncode == 0, run.stderr
 
 
 def test_balanced_orientation_triangle():

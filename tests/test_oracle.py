@@ -14,8 +14,6 @@ from oddcover.core import (
 from oddcover.families import disjoint_cycles
 from oddcover.oracle import (
     bound_gap_scan,
-    enumerate_cycles,
-    enumerate_paths,
     exact_c2,
     exact_linear_arboricity,
     exact_linear_forests,
@@ -33,24 +31,21 @@ def K(n):
 
 def test_enumerate_paths_counts():
     # sum over k of n!/(n-k)!/2 undirected vertex sequences
-    assert len(enumerate_paths(2)) == 1
-    assert len(enumerate_paths(3)) == 6
-    assert len(enumerate_paths(6)) == 975
-    assert len(enumerate_paths(7)) == 6846
-    with pytest.raises(ValueError):
-        enumerate_paths(8)
+    for n, count in ((2, 1), (3, 6), (6, 975), (7, 6846)):
+        masks, seqs = oracle._path_generators(n)
+        assert len(masks) == len(seqs) == count
 
 
 def test_enumerate_paths_distinct_vectors():
-    vecs = enumerate_paths(5)
-    assert len({v.bits for v in vecs}) == len(vecs)
+    masks, _ = oracle._path_generators(5)
+    assert len(set(masks)) == len(masks)
 
 
 def test_enumerate_cycles_counts():
     # sum over k of C(n,k) (k-1)!/2
-    assert len(enumerate_cycles(3)) == 1
-    assert len(enumerate_cycles(5)) == 37
-    assert len(enumerate_cycles(7)) == 1172
+    for n, count in ((3, 1), (5, 37), (7, 1172)):
+        masks, seqs = oracle._cycle_generators(n)
+        assert len(masks) == len(seqs) == count
 
 
 def test_exact_p2_named_values():

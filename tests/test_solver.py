@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oddcover import solver
+from oddcover import solver, twopaths
 from oddcover.core import (
     Graph,
     InternalInvariantError,
@@ -24,7 +24,6 @@ from oddcover.solver import (
     cover_eulerian_plus_matching,
     cover_first_bound,
     cycle_odd_cover,
-    disjoint_cycles_of,
     iso_cover_general,
     path_odd_cover,
     peel_odd_path,
@@ -33,7 +32,7 @@ from oddcover.solver import (
 )
 from oddcover.systems import iso_cover_from_forests
 
-from support import rng_for
+from support import rng_for, run_with_deadline
 
 
 def K(n):
@@ -182,7 +181,7 @@ def test_path_odd_cover_verifies_once(monkeypatch):
 @pytest.mark.parametrize("solve", [path_odd_cover, cover_first_bound])
 def test_layer_loop_faults_are_caught(monkeypatch, solve):
     # a wrong pair from the plain-layer step must still fail the self-check
-    monkeypatch.setattr(solver, "cover_cycles", lambda cs: solver.TwoPaths((0, 1), (0, 1)))
+    monkeypatch.setattr(solver, "cover_cycles", lambda cs: twopaths.TwoPaths((0, 1), (0, 1)))
     with pytest.raises(InternalInvariantError):
         solve(K(5))
 
@@ -265,14 +264,6 @@ def test_path_odd_cover_matching_only():
     g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     cover = path_odd_cover(g)
     assert verify_cover(cover).valid and cover.count <= 4
-
-
-def test_disjoint_cycles_of():
-    g = disjoint_cycles(3, 4)
-    cycles = disjoint_cycles_of(g)
-    assert len(cycles) == 3 and all(len(c) == 4 for c in cycles)
-    with pytest.raises(ValueError):
-        disjoint_cycles_of(K(4))
 
 
 def test_cycle_odd_cover_small():
@@ -414,9 +405,7 @@ for g in graphs:
 def test_dense_iso_covers_return_promptly():
     # K9's residual once sent exact_linear_forests through an exhaustive
     # search; each child has a deadline, so a stall fails instead of hanging
-    sweep = subprocess.run(
-        [sys.executable, "-c", _DENSE_SWEEP], capture_output=True, text=True, timeout=60
-    )
+    sweep = run_with_deadline(_DENSE_SWEEP, 60)
     assert sweep.returncode == 0, sweep.stderr
     k9 = "9 36\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(9), 2))
     cli = subprocess.run(

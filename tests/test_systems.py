@@ -39,6 +39,7 @@ from support import (
     linear_forest_pair,
     random_graph,
     rng_for,
+    run_with_deadline,
     xor_members,
 )
 
@@ -328,10 +329,26 @@ def test_witness_bytes_pinned():
     assert digests == {
         "top": "54ae4546d67a8db565eb8252d312c7d48126ce9a251b462a6f8aa87f3fe7f9cc",
         "cycle_top": "177c76ce69c7a28d518dfb6f2c48a968e05f72ced4534d569d089255ddb89876",
-        "iso": "49d0b14d0c39b437d4469994030d2580ae76261049f5dadcf5cdffc2ef0a0fd4",
+        "iso": "58dc6a56964fe027dbbc75a09bd70b3b8b4d82c7531a1c98afa5ac5baa041ad4",
         "forest": "9c39589b1804fe19ffabae557cc0e9a433718cd04638ab49ee744fff9eac3981",
         "la2": "69c47cf80d103cd4272f5d8dde75be1f45452eb876fd61cb71bf970f3d1ad837",
     }
+
+
+_WINDMILL_CYCLE_TOP = """
+from oddcover.core import verify_cover
+from oddcover.systems import cycle_top_cover
+from support import windmill
+h, cover, chains = cycle_top_cover(windmill(15000))
+assert verify_cover(cover).valid and cover.count == 15000
+"""
+
+
+def test_cycle_top_cover_is_linear_on_a_windmill():
+    # every triangle ends at the hub; a closing loop that scans all paths for
+    # each base's partners takes about a minute at this size, so the deadline fails it
+    run = run_with_deadline(_WINDMILL_CYCLE_TOP, 30)
+    assert run.returncode == 0, run.stderr
 
 
 def test_topological_cover_gnp_400():
