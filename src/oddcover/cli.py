@@ -30,7 +30,7 @@ from .core import (
 )
 from .families import FAMILIES, counterexample, generate, walecki_cycles
 from .io import emit_edge_list, load_witness, parse_edge_list, parse_graph6, witness_json
-from .oracle import MAX_ORACLE_N, exact_c2, exact_p2
+from .oracle import exact_c2, exact_p2
 from .solver import cycle_odd_cover, iso_cover_general, path_odd_cover
 from .systems import topological_cover
 
@@ -108,8 +108,6 @@ def _cmd_iso_cover(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_graph(args)
-    if g.n > MAX_ORACLE_N:
-        raise ValueError(f"exact search needs n <= {MAX_ORACLE_N}")
     solve = exact_c2 if args.kind == "cycle" else exact_p2
     res = solve(g, args.max_k)
     if res is None:
@@ -285,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, IOError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -28,6 +28,7 @@ from .core import (
     verify_cover,
 )
 from .cycles import odd_matching, peel_cycle_layers
+from .oracle import MAX_FOREST_N, exact_linear_arboricity
 from .systems import iso_cover_from_forests
 from .twopaths import (
     Cycle,
@@ -167,12 +168,12 @@ def solve_budget(g: Graph) -> SolveBudget:
 def _spend_layers(layers: list[list[Cycle]], m: list[Edge]) -> list[tuple[int, ...]]:
     """Two paths per cycle layer, integrating the sorted matching m.
 
-    Two matching edges go into each layer while any remain (choosing a safe
-    pair out of three, or splitting four over two layers), single edges go
-    in alone, and leftover layers cost two plain paths each.  Layer budget
-    is max(t, len(layers)) with t = ceil(|M|/2) (t = 2 when |M| = 2), so the
-    count is at most twice that.  Unchecked: each public caller verifies
-    its whole cover once.
+    Two matching edges go into each layer while three or more remain
+    (choosing a safe pair out of three, or splitting four over two layers),
+    a last one or two go in alone, one per layer, and leftover layers cost
+    two plain paths each.  Layer budget is max(t, len(layers)) with
+    t = ceil(|M|/2) (t = 2 when |M| = 2), so the count is at most twice that.
+    Unchecked: each public caller verifies its whole cover once.
     """
     rounds = max(_integration_rounds(len(m)), len(layers))
     layers = layers + [[] for _ in range(rounds - len(layers))]
@@ -192,25 +193,14 @@ def _spend_layers(layers: list[list[Cycle]], m: list[Edge]) -> list[tuple[int, .
             members += integrate_four_edges(cs, layers[i + 1], m)
             m = []
             i += 2
-        elif len(m) == 1:
+        elif m:  # one or two edges left: the first goes in alone
             if cs:
                 tp = integrate_one_edge(cs, m[0])
                 members += [tp.p, tp.q]
             else:
                 members.append(m[0])
-            m = []
+            m = m[1:]
             i += 1
-        elif len(m) == 2:
-            if i != 0:
-                raise InternalInvariantError("pair state can only occur first")
-            for f, cs2 in zip(m, (layers[0], layers[1])):
-                if cs2:
-                    tp = integrate_one_edge(cs2, f)
-                    members += [tp.p, tp.q]
-                else:
-                    members.append(f)
-            m = []
-            i += 2
         else:
             if cs:
                 tp = cover_cycles(cs)
@@ -282,8 +272,6 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     else by plain layer pairs (cost d instead of la(d)).  Returns the cover
     and which branch handled the residual.
     """
-    from .oracle import MAX_FOREST_N, exact_linear_forests
-
     delta, v_odd, _ = degree_profile(g)
     budget = solve_budget(g)
     t, d = budget.t, budget.d
@@ -304,15 +292,11 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     if tail:
         residual = Graph(g.n, [e for layer in tail for c in layer for e in cycle_edges(c)])
         # every maximum-degree vertex of g XOR M lies on every layer, so the
-        # residual's maximum degree is 2 * len(tail)
-        forests = None
-        if g.n <= MAX_FOREST_N:
-            for k in range(len(tail), d + 1):
-                forests = exact_linear_forests(residual, k)
-                if forests is not None:
-                    break
-        if forests is not None:
-            isoc = iso_cover_from_forests(residual, forests)
+        # residual's maximum degree is 2 * len(tail) <= d; its linear
+        # arboricity is at most len(tail) + 1 for n <= MAX_FOREST_N
+        la = exact_linear_arboricity(residual) if g.n <= MAX_FOREST_N else None
+        if la is not None and la[0] <= d:
+            isoc = iso_cover_from_forests(residual, la[1])
             members += list(isoc.members)
             n_total = isoc.target.n
             branch = "linear-arboricity"

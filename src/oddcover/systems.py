@@ -704,11 +704,9 @@ def _classes_to_collections(
     collections: list[list[Path]] = []
     for c, edges in enumerate(classes):
         try:
-            paths, cycles = degree2_components(n_total, edges)
+            paths = linear_forest_components(n_total, edges)
         except ValueError as exc:
             raise InternalInvariantError(f"color class {c}: {exc}") from exc
-        if cycles:
-            raise InternalInvariantError(f"color class {c} contains a cycle")
         if not paths:
             raise InternalInvariantError(f"color class {c} is empty")
         collections.append(paths)

@@ -22,7 +22,9 @@ vertices), and every construction reads where a vertex or an edge sits from
 it; a reduction that recurses on a rebuilt cycle set indexes that set in the
 order it built it.  One private routine, `_close_loose`, covers a layer plus
 two loose paths off it through stand-in edges; the two-cut-edges case here
-and the solver's two-loose-paths case both use it.
+and the solver's two-loose-paths case both use it.  Likewise `_thread_to`
+is the only threading of all cycles but one to a pinned common end, and
+`_plus_one_then` the only one-edge cover that runs on along a walk.
 
 Every public function re-checks its own output: the returned paths must be
 simple and their edge-parity XOR must equal the requested target, else an
@@ -310,14 +312,7 @@ def _plus_one(
             raise ExceptionalEndpointError(
                 f"z={z} shares a cycle with both endpoints of {f}"
             )
-        rest = [c for i, c in enumerate(cycles) if i != cu]
-        last = rest[-1] if z is None else cycles[jz]
-        order = [cycles[cu]] + [c for c in rest if c is not last] + [last]
-        zz = z if z is not None else min(set(last) - {u, v})
-        p0, q0 = _thread(layer, order, x_first=v, y_last=zz, avoid=u)
-        return [u] + p0, q0
-
-    if (jz is not None and jz == cv) or (z is None and cv is None and cu is not None):
+    elif (jz is not None and jz == cv) or (z is None and cv is None and cu is not None):
         u, v = v, u
         cu, cv = cv, cu
     order = [c for i, c in enumerate(cycles) if i != cv and i != jz]
@@ -491,25 +486,33 @@ def _case_three_on_one_cycle(
     ru = T[frozenset((u1, u2))]
     rv = T[frozenset((u1, v2))]
     y1 = min(_interior(r2))
-    hit = owner.get(v1)
-    if hit is not None:
-        order = [c for i, c in enumerate(layer.cycles) if i not in (j, hit)]
-        tail1, tail2 = _thread(layer, order + [layer.cycles[hit]], y_last=v1)
-    else:
-        rest = [c for i, c in enumerate(layer.cycles) if i != j]
-        pr, qr = _thread(layer, rest)
-        tail1, tail2 = pr + [v1], qr + [v1]
+    tail1, tail2 = _thread_to(layer, j, v1)
     p = [u2] + _seg(r2, v2, y1) + tail1 + [u1]
     q = _seg(rv, v2, u1) + _seg(ru, u1, u2)[1:] + _seg(r2, u2, y1)[1:] + tail2
     return TwoPaths(tuple(p), tuple(q))
 
 
-def _safe_common_endpoint(layer: _Layer, f: Edge) -> int:
-    """A z for _plus_one that cannot trigger its exceptional clause."""
+def _thread_to(layer: _Layer, skip: int, v: int) -> tuple[list[int], list[int]]:
+    """Thread every cycle but cycle `skip` into two paths both ending at v:
+    v's own cycle goes last, or v is appended when it lies off the layer."""
+    hit = layer.owner.get(v)
+    order = [c for i, c in enumerate(layer.cycles) if i != skip and i != hit]
+    if hit is None:
+        p, q = _thread(layer, order)
+        return p + [v], q + [v]
+    return _thread(layer, order + [layer.cycles[hit]], y_last=v)
+
+
+def _plus_one_then(layer: _Layer, f: Edge, walk: Sequence[int]) -> TwoPaths:
+    """_plus_one at a common end its exceptional clause cannot refuse, then
+    both paths step to the walk's first vertex and p runs along the walk."""
     cu = layer.owner.get(f[0])
     if cu is not None and cu == layer.owner.get(f[1]) and len(layer.cycles) >= 2:
-        return min(w for w, j in layer.owner.items() if j != cu)
-    return min(w for w in layer.owner if w not in f)
+        z = min(w for w, j in layer.owner.items() if j != cu)
+    else:
+        z = min(w for w in layer.owner if w not in f)
+    p, q = _plus_one(layer, f, z)
+    return TwoPaths(tuple(p + list(walk)), tuple(q + [walk[0]]))
 
 
 def _case_spread(
@@ -527,9 +530,7 @@ def _case_spread(
         if va in owner:
             p, q = _plus_one(layer, fb, z=va)
             return TwoPaths(tuple(p + [ua]), tuple(q))
-        z = _safe_common_endpoint(layer, fb)
-        p, q = _plus_one(layer, fb, z=z)
-        return TwoPaths(tuple(p + [va, ua]), tuple(q + [va]))
+        return _plus_one_then(layer, fb, [va, ua])
 
     if counts.count(2) == 2:
         return _case_two_plus_two(layer, f1, f2, counts)
@@ -560,10 +561,8 @@ def _case_two_plus_two(
 
     if owner[f1[0]] == owner[f1[1]]:
         # each edge is a chord of its own cycle: two thetas around the rest
-        z1 = min(v for v in layer.cycles[owner[f1[0]]] if v not in f1)
-        z2 = min(v for v in layer.cycles[owner[f2[0]]] if v not in f2)
-        p1, q1 = _theta_two_paths(layer, *f1, z1)  # both end at z1
-        p2, q2 = _theta_two_paths(layer, *f2, z2)  # both end at z2
+        p1, q1 = _theta_two_paths(layer, *f1, None)  # both end at one z1 off f1
+        p2, q2 = _theta_two_paths(layer, *f2, None)  # both end at one z2 off f2
         mid_p, mid_q = _thread(layer, rest)
         return TwoPaths(tuple(p1 + mid_p + p2[::-1]), tuple(q1 + mid_q + q2[::-1]))
 
@@ -627,10 +626,7 @@ def _plus_minus(layer: _Layer, f_in: Edge, f_out: Edge) -> TwoPaths:
     if u2 is None:
         if not rest:
             return TwoPaths(tuple(s_walk), tuple(f_out))
-        sub = layer.without(j)
-        z = _safe_common_endpoint(sub, f_out)
-        p, q = _plus_one(sub, f_out, z=z)
-        return TwoPaths(tuple(p + s_walk), tuple(q + [s_walk[0]]))
+        return _plus_one_then(layer.without(j), f_out, s_walk)
 
     v2 = f_out[0] if f_out[1] == u2 else f_out[1]
     if not rest:
@@ -652,14 +648,8 @@ def _plus_minus(layer: _Layer, f_in: Edge, f_out: Edge) -> TwoPaths:
         q = [v1] + q0 + s_walk[: s_walk.index(u2) + 1] + [v2]
         return TwoPaths(tuple(p), tuple(q))
 
-    v1 = s_walk[-1]
-    hit = owner.get(v2)
-    if hit is not None:
-        order = [c for c in rest if c is not layer.cycles[hit]] + [layer.cycles[hit]]
-        p0, q0 = _thread(layer, order, y_last=v2)
-        return TwoPaths(tuple(s_walk + p0), tuple([v1] + q0 + [u2]))
-    p0, q0 = _thread(layer, rest)
-    return TwoPaths(tuple(s_walk + p0 + [v2]), tuple([v1] + q0 + [v2, u2]))
+    p0, q0 = _thread_to(layer, j, v2)
+    return TwoPaths(tuple(s_walk + p0), tuple([s_walk[-1]] + q0 + [u2]))
 
 
 def _integrate_two(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:

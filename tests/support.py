@@ -170,6 +170,58 @@ def windmill(t):
     )
 
 
+def complete(n):
+    """K_n."""
+    return Graph(n, combinations(range(n), 2))
+
+
+def k2n(n):
+    """K_{2,n}: hubs 0 and 1 joined to 2..n+1."""
+    return Graph(n + 2, [(h, v) for h in (0, 1) for v in range(2, n + 2)])
+
+
+def book(n):
+    """n triangles on the spine edge 0-1."""
+    return Graph(n + 2, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, n + 2)])
+
+
+def caterpillar(spine, legs):
+    """A path 0..spine-1 with `legs` leaves hung on every spine vertex."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph(spine * (legs + 1), edges)
+
+
+def hub_gnm(n, m, seed):
+    """Hub 0 joined to every vertex of gnm(n, m, seed) shifted to 1..n."""
+    edges = [(0, v) for v in range(1, n + 1)]
+    edges += [(u + 1, v + 1) for u, v in gnm(n, m, seed).edges]
+    return Graph(n + 1, edges)
+
+
+def skew_graphs(max_n):
+    """The degree-skew set: stars, windmills, K_{2,N}, books, caterpillars,
+    hubs over gnm graphs and complete graphs, every member with at most max_n
+    vertices, each edge set once."""
+    members = [star(k) for k in range(1, max_n)]
+    members += [windmill(t) for t in range(1, (max_n + 1) // 2)]
+    members += [f(k) for f in (k2n, book) for k in range(1, max_n - 1)]
+    members += [
+        caterpillar(s, legs)
+        for s in range(2, max_n + 1)
+        for legs in range(1, max_n)
+        if s * (legs + 1) <= max_n
+    ]
+    members += [
+        hub_gnm(k, m, seed=k) for k in range(3, max_n) for m in (k // 2, k - 1, k)
+    ]
+    members += [complete(k) for k in range(2, max_n + 1)]
+    unique = {}
+    for g in members:
+        unique.setdefault((g.n, frozenset(g.edges)), g)
+    return list(unique.values())
+
+
 def reference_odd_matching(g):
     """The quadratic greedy that `cycles.odd_matching` must agree with: the
     smallest unmatched odd u takes the least v by (class, id), where class 0

@@ -4,9 +4,13 @@ On universes of at most 7 vertices the oracle's minimum is known, so every
 witness the layer peeling and odd-path peeling produce is checked to sit
 between the floors, the exact minimum and the guaranteed ceiling, and the
 two-path kit's obstruction test is checked against the oracle's verdict.
-The isolated-vertex and additive-bound covers are checked against the
-oracle on every nonempty graph with n <= 5 and on seeded G(6, p), and the
-two-forest compression on every even graph with n <= 5.
+The isolated-vertex, apex-closed cycle and additive-bound covers are
+checked against the oracle on every nonempty graph with n <= 5 and on
+seeded G(6, p), and the two-forest compression on every even graph with
+n <= 6.  The degree-skew graphs on at most six vertices (stars, windmills,
+K_{2,N}, books, caterpillars, hubs over gnm graphs, complete graphs) are
+extra inputs to the path-cover, cycle-cover, iso and first-bound checks;
+the two-forest sweep already holds them.
 """
 
 from itertools import combinations
@@ -37,7 +41,7 @@ from oddcover.solver import (
     iso_cover_general,
     path_odd_cover,
 )
-from oddcover.systems import two_path_cover_la2
+from oddcover.systems import cycle_iso_cover, two_path_cover_la2
 from oddcover.twopaths import (
     ExceptionalCase,
     TwoPaths,
@@ -45,9 +49,22 @@ from oddcover.twopaths import (
     is_exceptional_k4,
 )
 
-from support import all_graphs, random_graph, rng_for
+from support import all_graphs, random_graph, rng_for, skew_graphs
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+SKEW = skew_graphs(6)
+
+
+def skew_examples(keep=lambda g: True):
+    """Add every kept degree-skew graph as an explicit example."""
+
+    def add(test):
+        for g in SKEW:
+            if keep(g):
+                test = example(g)(test)
+        return test
+
+    return add
 
 
 @st.composite
@@ -111,6 +128,7 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 
 @SETTINGS
 @given(graphs())
+@skew_examples()
 def test_path_cover_between_oracle_and_degree_bound(g):
     exact, _ = exact_p2(g)
     cover = path_odd_cover(g)
@@ -120,6 +138,7 @@ def test_path_cover_between_oracle_and_degree_bound(g):
 
 @SETTINGS
 @given(even_graphs())
+@skew_examples(Graph.is_even)
 def test_cycle_cover_between_oracle_and_delta(g):
     delta, _, _ = degree_profile(g)
     exact, _ = exact_c2(g)
@@ -165,7 +184,8 @@ def test_k4_obstruction_agrees_with_the_oracle(inst):
 
 
 def _small_graphs():
-    """Every nonempty graph with n <= 5, then 600 seeded G(6, p) draws."""
+    """Every nonempty graph with n <= 5, then 600 seeded G(6, p) draws, then
+    the degree-skew graphs."""
     for n in range(2, 6):
         yield from (g for g in all_graphs(n) if g.m)
     rng = rng_for("oracle-differential-n6")
@@ -173,10 +193,11 @@ def _small_graphs():
         g = random_graph(6, rng.random(), rng)
         if g.m:
             yield g
+    yield from SKEW
 
 
 def test_iso_cover_against_the_oracle():
-    eulerian = 0
+    eulerian = closed = 0
     for g in _small_graphs():
         cover, _ = iso_cover_general(g)
         added = cover.target.n - g.n
@@ -184,8 +205,14 @@ def test_iso_cover_against_the_oracle():
         if g.is_even():
             # the paper's match with the linear arboricity
             eulerian += 1
-            assert cover.count == exact_linear_arboricity(g)[0]
-    assert eulerian > 50
+            la, forests = exact_linear_arboricity(g)
+            assert cover.count == la
+            # the same forests closed into cycles through one apex vertex
+            cycles = cycle_iso_cover(g, forests)
+            if cycles.target.n <= 7:
+                assert exact_c2(Graph(cycles.target.n, g.edges))[0] <= cycles.count
+                closed += 1
+    assert eulerian > 50 and closed > 80
 
 
 def test_first_bound_cover_against_the_oracle():

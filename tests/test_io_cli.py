@@ -63,6 +63,11 @@ def test_graph6_known_codes():
     assert parse_graph6("D??") == Graph(5)  # empty on 5 vertices
     # path 0-1-2: column-major bits 101 -> value 40 -> chr(103)
     assert parse_graph6("B" + chr(40 + 63)) == Graph(3, [(0, 1), (1, 2)])
+    # n >= 63 takes the long header "~" plus n in three 6-bit bytes
+    assert parse_graph6("~?@?" + "?" * 336) == Graph(64)
+    # n = 63: (0, 1) is the first body bit, (61, 62) bit 1952 of 1953
+    assert parse_graph6("~??~_" + "?" * 324 + "G") == Graph(63, [(0, 1), (61, 62)])
+    assert parse_graph6(">>graph6<<C~\n") == parse_graph6("C~")
 
 
 def test_graph6_cross_parse_matches_edge_list():
@@ -79,6 +84,9 @@ def test_graph6_errors():
         parse_graph6("C~~")  # length mismatch
     with pytest.raises(ValueError):
         parse_graph6("C" + chr(20))  # byte out of range
+    # n = 258048 needs the eight-byte header; its body is never sent here
+    with pytest.raises(ValueError, match="expected 5549042688"):
+        parse_graph6("~~???~??")
 
 
 def test_witness_json_and_load():

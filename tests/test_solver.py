@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from itertools import combinations
@@ -32,7 +33,7 @@ from oddcover.solver import (
 )
 from oddcover.systems import iso_cover_from_forests
 
-from support import rng_for, run_with_deadline
+from support import hamiltonian_union, rng_for, run_with_deadline
 
 
 def K(n):
@@ -218,6 +219,37 @@ def test_cover_eulerian_plus_matching_pair():
         done += 1
 
 
+def test_lone_edge_layer_outputs_are_pinned():
+    # Recorded before |M| = 2 became the one-edge state run twice.  Even
+    # graphs with 0-3 cycle layers take 1-5 matching edges, so padded layers
+    # and |M| = 2 on a single layer are reached; the G(n, p) draws pair 2, 4
+    # or 6 odd vertices without peeling.
+    rng = rng_for("lone-edge-pin")
+    out = []
+    for n in range(10, 16):
+        for k in range(4):
+            for g in (
+                hamiltonian_union(n, k, seed=n) if k else Graph(n),
+                Graph(n, disjoint_cycles(k, n // k).edges) if k else Graph(n),
+                eulerian_random(n, seed=10 * n + k, rounds=k + 1),
+            ):
+                for size in range(1, 6):
+                    ends = rng.sample(range(n), 2 * size)
+                    m = list(zip(ends[::2], ends[1::2]))
+                    cover = cover_eulerian_plus_matching(g, m)
+                    out.append((g.n, sorted(g.edges), m, cover.members))
+    paths = 0
+    while paths < 60:
+        g = gnp(rng.randrange(5, 13), rng.choice([0.2, 0.35, 0.5]), rng.randrange(10**6))
+        delta, v_odd, _ = degree_profile(g)
+        if v_odd in (2, 4, 6) and v_odd // 2 <= 2 * -(-delta // 2):
+            out.append((g.n, sorted(g.edges), path_odd_cover(g).members))
+            paths += 1
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b83b8cbfa3b192197ce45bd78e570b206c87dfec4361f0d41e307b933453cdfe"
+    )
+
+
 def test_cover_eulerian_plus_matching_rejects_odd():
     with pytest.raises(ValueError):
         cover_eulerian_plus_matching(Graph(2, [(0, 1)]), [])
@@ -378,14 +410,11 @@ def test_counterexample_iso_cover_uses_one_extra_vertex():
 
 
 _DENSE_SWEEP = """
-from itertools import combinations
 from oddcover.core import Graph, verify_cover
 from oddcover.families import gnp
 from oddcover.oracle import exact_linear_forests
 from oddcover.solver import iso_cover_general
-
-def complete(n):
-    return Graph(n, combinations(range(n), 2))
+from support import complete
 
 graphs = [complete(n) for n in range(2, 11)]
 graphs += [
