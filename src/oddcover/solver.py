@@ -12,6 +12,7 @@ driven by linear-forest decompositions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -179,27 +180,29 @@ def _spend_layers(layers: list[list[Cycle]], m: list[Edge]) -> list[tuple[int, .
     layers = layers + [[] for _ in range(rounds - len(layers))]
 
     members: list[tuple[int, ...]] = []
+    m = deque(m)  # each round takes from the front in O(1)
     i = 0
     while i < rounds:
         cs = layers[i]
         if len(m) >= 5 or len(m) == 3:
-            pair, tp = choose_integrable_pair(cs, m[:3])
+            three = [m.popleft() for _ in range(3)]
+            pair, tp = choose_integrable_pair(cs, three)
             members += [tp.p, tp.q]
-            m = [f for f in m if f not in pair]
+            m.extendleft(f for f in three if f not in pair)
             i += 1
         elif len(m) == 4:
             if i + 1 >= rounds:
                 raise InternalInvariantError("four edges left but one round")
-            members += integrate_four_edges(cs, layers[i + 1], m)
-            m = []
+            members += integrate_four_edges(cs, layers[i + 1], list(m))
+            m.clear()
             i += 2
         elif m:  # one or two edges left: the first goes in alone
+            f = m.popleft()
             if cs:
-                tp = integrate_one_edge(cs, m[0])
+                tp = integrate_one_edge(cs, f)
                 members += [tp.p, tp.q]
             else:
-                members.append(m[0])
-            m = m[1:]
+                members.append(f)
             i += 1
         else:
             if cs:

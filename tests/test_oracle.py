@@ -1,4 +1,5 @@
 import hashlib
+import os
 from functools import lru_cache
 
 import pytest
@@ -22,7 +23,7 @@ from oddcover.oracle import (
 )
 from oddcover.solver import path_odd_cover
 
-from support import all_graphs, random_graph, rng_for
+from support import all_graphs, random_graph, rng_for, run_with_deadline
 
 
 def K(n):
@@ -116,6 +117,14 @@ def test_exact_p2_iso_eulerian_la2():
     assert exact_linear_forests(g, 2) is not None
     assert exact_p2(g)[0] == 2
     assert exact_p2_iso(g, extra=1)[0] == 2
+
+
+def test_linear_forests_exhausted_search_refuses():
+    # 7 vertices carry edges and 2 * 6 = 12 = m, so the count prune lets k = 2
+    # through and the backtracking itself must run out
+    g = Graph(7, list(K(5).edges) + [(4, 5), (5, 6)])
+    assert exact_linear_forests(g, 2) is None
+    assert exact_linear_arboricity(g)[0] == 3
 
 
 def test_exact_linear_forests():
@@ -243,3 +252,80 @@ def test_exhausted_search_returns_none():
     # before k = 5 and the unreachable target must come back as None
     assert oracle._XorSearch(2, [0b11]).solve(0b01, 5) is None
     assert oracle._XorSearch(2, [0b11]).solve(0b11, 5) == (1, [0])
+
+
+def _set_bfs(masks):
+    """Reference search: distances and layers by plain Python sets."""
+    dist = {0: 0}
+    layers = [{0}]
+    while layers[-1]:
+        layers.append({x ^ g for x in layers[-1] for g in masks} - dist.keys())
+        dist.update(dict.fromkeys(layers[-1], len(layers) - 1))
+    return dist, layers
+
+
+@pytest.mark.parametrize("block", [1 << 16, 5])
+@pytest.mark.parametrize(
+    "n_bits, masks",
+    [
+        (10, oracle._path_generators(5)[0]),
+        (10, oracle._cycle_generators(5)[0]),
+        (4, [0b0011, 0b0110, 0b0011, 0, 0b1000]),  # a duplicate and a zero
+    ],
+    ids=["path5", "cycle5", "hand"],
+)
+def test_xor_search_matches_set_bfs(monkeypatch, block, n_bits, masks):
+    monkeypatch.setattr(oracle, "_BLOCK", block)  # 5 splits every fill and read
+    eng = oracle._XorSearch(n_bits, masks)
+    while not eng.exhausted:
+        eng._extend()
+    dist, layers = _set_bfs(masks)
+    assert eng.dist.tolist() == [dist.get(x, 255) for x in range(1 << n_bits)]
+    assert [set(layer.tolist()) for layer in eng.layers] == layers
+    for layer in eng.layers:
+        assert (layer[1:] > layer[:-1]).all()  # sorted, no repeats
+
+
+def test_depth_two_tables_pinned():
+    # Recorded before the table fill was blocked; layers are read off dist.
+    for gens, sizes, digest in (
+        (oracle._path_generators, [1, 6846, 940229], "b06174d585cb61c1111ff03917839dc600c4743a042ff5ba1b31fda1ed8d6944"),
+        (oracle._cycle_generators, [1, 1172, 25546], "bf9fc3786ab4d69b9a55b297a46eb2b37fb044ff60c8c63d5c5f02a07217c68c"),
+    ):
+        eng = oracle._XorSearch(21, gens(7)[0])
+        eng._extend()
+        eng._extend()
+        assert [len(layer) for layer in eng.layers] == sizes
+        assert hashlib.sha256(eng.dist.tobytes()).hexdigest() == digest
+
+
+_DEPTH_TWO_PEAK = """
+import numpy
+from oddcover import Graph, oracle
+
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+
+oracle._path_generators(7)
+before = peak()
+k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+assert oracle.exact_p2(Graph(7, k4 + [(4, 5), (5, 6), (4, 6)]))[0] == 3
+added = peak() - before
+eng = oracle._engine(7, "path")
+assert len(eng.layers) == 3
+kept = eng.dist.nbytes + eng.gens.nbytes + sum(layer.nbytes for layer in eng.layers)
+assert added <= kept + 2 ** 21, (added, kept)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_depth_two_fill_memory_peak():
+    # k = 3 fills the n = 7 path table to depth 2.  Beside the kept arrays the
+    # fill may hold one block of candidates and one slice of the table, not a
+    # second copy of the 940 229-entry layer.  The peak is the child's VmHWM:
+    # ru_maxrss would carry over the peak of the process that spawned it.
+    run = run_with_deadline(_DEPTH_TWO_PEAK, 60)
+    assert run.returncode == 0, run.stderr

@@ -8,7 +8,7 @@ from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
-from support import gnm, hamiltonian_forests, hamiltonian_union
+from support import gnm, hamiltonian_forests, hamiltonian_union, run_with_deadline
 
 
 def test_cycle_odd_cover_six_regular_20000():
@@ -59,3 +59,23 @@ def test_iso_cover_from_forests_8000():
     cover = iso_cover_from_forests(g, forests)
     assert verify_cover(cover).valid and cover.count == 3
     assert cover.target.n - g.n == 2934  # one new vertex per meet
+
+
+_SPEND_MATCHING = """
+from oddcover.core import Graph, OddCover, verify_cover
+from oddcover.cycles import peel_cycle_layers
+from oddcover.solver import _spend_layers
+k = 10 ** 5
+g = Graph(2 * k + 3, [(0, 1), (1, 2), (0, 2)])
+m = [(2 * i + 3, 2 * i + 4) for i in range(k)]
+cover = OddCover(g.xor(m), _spend_layers(peel_cycle_layers(g), m), "path")
+assert verify_cover(cover).valid and cover.count == k
+"""
+
+
+def test_spend_layers_takes_a_large_matching_in_linear_time():
+    # One layer and 10^5 matching edges: rebuilding the rest of the matching
+    # every round took 4.5 s at 1.6 * 10^4 edges and grows quadratically,
+    # so the deadline fails it.
+    run = run_with_deadline(_SPEND_MATCHING, 30)
+    assert run.returncode == 0, run.stderr
