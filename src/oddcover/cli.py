@@ -26,6 +26,7 @@ from .core import (
     degree_bound,
     degree_profile,
     lower_bound,
+    max_subgraph_density,
     verify_cover,
 )
 from .families import FAMILIES, counterexample, generate, walecki_cycles
@@ -58,8 +59,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _bounds(g: Graph, upper: int, method: str) -> dict:
+    lower = lower_bound(g)
+    if g.n <= MAX_DENSITY_N:
+        lower = max(lower, max_subgraph_density(g))
     return {
-        "lower": lower_bound(g, with_density=g.n <= MAX_DENSITY_N),
+        "lower": lower,
         "upper": upper,
         "method": method,
     }
@@ -219,6 +223,15 @@ def _add_graph_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
 
+def _add_family_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--family", choices=FAMILIES, required=True)
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--k", type=int, default=None)
+    sub.add_argument("--length", "--len", dest="length", type=int, default=None)
+    sub.add_argument("--p", type=float, default=None)
+    sub.add_argument("--seed", type=int, default=None)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -250,24 +263,14 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("gen")
-    sp.add_argument("--family", choices=FAMILIES, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--length", "--len", dest="length", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    _add_family_args(sp)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=_cmd_gen)
 
     sp = sub.add_parser("bench")
-    sp.add_argument("--family", choices=FAMILIES, required=True)
+    _add_family_args(sp)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--verb", choices=("cover", "cycle-cover"), default="cover")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--length", "--len", dest="length", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_bench)
 
     return ap
@@ -286,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -283,19 +283,16 @@ def max_subgraph_density(g: Graph) -> int:
     return -(-best_num // best_den)  # ceil
 
 
-def lower_bound(g: Graph, with_density: bool = False) -> int:
+def lower_bound(g: Graph) -> int:
     """Floor on the path odd-cover number.
 
     Each path has at most two odd-degree vertices and maximum degree 2, so
-    max{v_odd/2, ceil(delta/2)} paths are always necessary.  With
-    with_density=True (n <= MAX_DENSITY_N) the Nash-Williams arboricity bound
-    max_H ceil(e(H)/(v(H)-1)) is folded in as well.
+    max{v_odd/2, ceil(delta/2)} paths are always necessary.  For
+    n <= MAX_DENSITY_N, callers raise it to max_subgraph_density(g), the
+    Nash-Williams arboricity bound.
     """
     delta, v_odd, _ = degree_profile(g)
-    bound = max(v_odd // 2, -(-delta // 2))
-    if with_density:
-        bound = max(bound, max_subgraph_density(g))
-    return bound
+    return max(v_odd // 2, -(-delta // 2))
 
 
 def degree_bound(g: Graph) -> int:

@@ -131,10 +131,7 @@ def counterexample(k: int) -> tuple[Graph, list[tuple[int, ...]], list[list[Edge
     h_edges = {
         norm_edge(u, v) for u in range(n1) for v in range(u + 1, n1)
     } - set(removed)
-    deg = {v: 0 for v in range(n1)}
-    for u, v in h_edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = Graph(n1, h_edges).degrees()
 
     cross = []
     for i in range(1, k):
@@ -192,18 +189,24 @@ FAMILIES = (
 
 def generate(family: str, **params) -> Graph:
     """Build a named family member; parameters are family-specific."""
+
+    def need(key: str):
+        if key not in params:
+            raise ValueError(f"family {family!r} needs --{key}")
+        return params[key]
+
     if family == "gnp":
-        return gnp(int(params["n"]), float(params["p"]), int(params.get("seed", 0)))
+        return gnp(int(need("n")), float(need("p")), int(params.get("seed", 0)))
     if family == "cycles":
-        return disjoint_cycles(int(params["k"]), int(params.get("len", 4)))
+        return disjoint_cycles(int(need("k")), int(params.get("len", 4)))
     if family == "cycles-on-path":
-        return cycles_on_path(int(params["k"]), int(params.get("len", 4)))
+        return cycles_on_path(int(need("k")), int(params.get("len", 4)))
     if family == "walecki":
-        k = int(params["k"])
+        k = int(need("k"))
         n = 2 * k + 1
         return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if family == "counterexample":
-        return counterexample(int(params["k"]))[0]
+        return counterexample(int(need("k")))[0]
     if family == "eulerian-random":
-        return eulerian_random(int(params["n"]), int(params.get("seed", 0)))
+        return eulerian_random(int(need("n")), int(params.get("seed", 0)))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

@@ -284,8 +284,10 @@ def exact_linear_forests(g: Graph, k: int) -> list[list[Edge]] | None:
     """Partition E(g) into k linear forests, or None if impossible.
 
     Backtracking over edges in decreasing degree-sum order, pruning on
-    per-color degrees (<= 2) and per-color acyclicity (disjoint-set forests),
-    with canonical color order to break class symmetry.
+    per-color degrees (<= 2) and per-color acyclicity, with canonical color
+    order to break class symmetry.  Acyclicity uses path-end pointers: both
+    ends of a tried edge have class degree < 2, so they are path ends, and
+    the edge closes a cycle exactly when they end the same path.
     """
     if g.n > MAX_FOREST_N:
         raise ValueError(f"linear-forest search capped at n <= {MAX_FOREST_N}")
@@ -301,33 +303,28 @@ def exact_linear_forests(g: Graph, k: int) -> list[list[Edge]] | None:
     m = len(edges)
     color = [-1] * m
     cdeg = [[0] * g.n for _ in range(k)]
-    root = [list(range(g.n)) for _ in range(k)]
-
-    def find(c: int, x: int) -> int:
-        while root[c][x] != x:
-            x = root[c][x]
-        return x
+    # far[c][x]: the other end of the class-c path ending at x (x if isolated)
+    far = [list(range(g.n)) for _ in range(k)]
 
     def assign(i: int, used: int) -> bool:
         if i == m:
             return True
         u, v = edges[i]
         for c in range(min(k, used + 1)):
-            if cdeg[c][u] >= 2 or cdeg[c][v] >= 2:
+            dc, fc = cdeg[c], far[c]
+            if dc[u] >= 2 or dc[v] >= 2 or fc[u] == v:
                 continue
-            ru, rv = find(c, u), find(c, v)
-            if ru == rv:
-                continue
-            root[c][ru] = rv
-            cdeg[c][u] += 1
-            cdeg[c][v] += 1
+            a, b = fc[u], fc[v]
+            fc[a], fc[b] = b, a
+            dc[u] += 1
+            dc[v] += 1
             color[i] = c
             if assign(i + 1, max(used, c + 1)):
                 return True
             color[i] = -1
-            cdeg[c][u] -= 1
-            cdeg[c][v] -= 1
-            root[c][ru] = ru
+            dc[u] -= 1
+            dc[v] -= 1
+            fc[a], fc[b] = u, v
         return False
 
     if not assign(0, 0):

@@ -13,7 +13,6 @@ driven by linear-forest decompositions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -146,24 +145,8 @@ def cover_first_bound(g: Graph) -> OddCover:
 
 
 def _integration_rounds(matching_size: int) -> int:
+    """Layers _spend_layers needs to absorb a matching of this size."""
     return 2 if matching_size == 2 else -(-matching_size // 2)
-
-
-@dataclass(frozen=True)
-class SolveBudget:
-    """Round budget for isolated-vertex covers: t integration rounds leave a
-    residual of maximum degree d inside the even-rounded ceiling delta_e."""
-
-    t: int
-    d: int
-    delta_e: int
-
-
-def solve_budget(g: Graph) -> SolveBudget:
-    delta, v_odd, _ = degree_profile(g)
-    delta_e = 2 * -(-delta // 2)
-    t = 2 if (v_odd == 4 and delta >= 3) else -(-v_odd // 4)
-    return SolveBudget(t=t, d=delta_e - 2 * t, delta_e=delta_e)
 
 
 def _spend_layers(layers: list[list[Cycle]], m: list[Edge]) -> list[tuple[int, ...]]:
@@ -268,22 +251,23 @@ def path_odd_cover(g: Graph) -> OddCover:
 def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     """Odd-cover allowing added isolated vertices, per the 2t + la(d) budget.
 
-    t is ceil(v_odd/4) (or 2 when v_odd = 4 with delta >= 3) and
-    d = 2*ceil(delta/2) - 2t.  The first t cycle layers absorb the matching;
+    t = _integration_rounds(v_odd/2) (ceil(v_odd/4), or 2 when v_odd = 4) and
+    d = 2*ceil(delta/2) - 2t; d < 0 (including v_odd = 4 with delta <= 2)
+    goes to path_odd_cover.  The first t cycle layers absorb the matching;
     the residual is covered by stitching an exact minimum linear-forest
     decomposition when the graph is small enough to search (n <= MAX_FOREST_N),
     else by plain layer pairs (cost d instead of la(d)).  Returns the cover
     and which branch handled the residual.
     """
     delta, v_odd, _ = degree_profile(g)
-    budget = solve_budget(g)
-    t, d = budget.t, budget.d
+    t = _integration_rounds(v_odd // 2)
+    d = 2 * -(-delta // 2) - 2 * t
 
-    if d < 0 or (v_odd == 4 and delta <= 2):
+    if d < 0:
         cover = path_odd_cover(g)
         if cover.count > v_odd // 2:
             raise InternalInvariantError("direct or two-path case exceeded v_odd/2")
-        return cover, "direct" if d < 0 else "two-paths"
+        return cover, "two-paths" if v_odd == 4 and delta <= 2 else "direct"
 
     m = sorted(odd_matching(g))
     layers = peel_cycle_layers(g.xor(m))

@@ -632,13 +632,17 @@ def is_exceptional_family(g: Graph) -> bool:
     return len(cycles) >= 1 and len(paths) <= 1
 
 
-def _subdivide3(g: Graph) -> tuple[dict[Edge, list[int]], int]:
+def _subdivide3(g: Graph) -> tuple[dict[Edge, list[int]], dict[int, Edge], int]:
+    """3-subdivide g: each edge's chain, the home edge of each new vertex,
+    and the next free vertex."""
     chains: dict[Edge, list[int]] = {}
+    home: dict[int, Edge] = {}
     nxt = g.n
     for u, v in sorted(g.edges):
         chains[(u, v)] = [u, nxt, nxt + 1, v]
+        home[nxt] = home[nxt + 1] = (u, v)
         nxt += 2
-    return chains, nxt
+    return chains, home, nxt
 
 
 def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dict[Edge, int]:
@@ -715,44 +719,41 @@ def _classes_to_collections(
 
 def _reduced_topological_paths(
     g: Graph,
-) -> tuple[list[Path], dict[Edge, list[int]], dict[Edge, Edge], int]:
-    """k reduced paths over a subdivision of g, with the chain map."""
+) -> tuple[list[Path], dict[Edge, list[int]], dict[int, Edge], int]:
+    """k reduced paths over a subdivision of g, with its chains and the home
+    edge of every new vertex."""
     k = lower_bound(g)
-    chains, n_total = _subdivide3(g)
+    chains, home, n_total = _subdivide3(g)
     color = _color_tripled_edges(g, chains, k)
     collections = _classes_to_collections(color, k, n_total)
     try:
         sys, events = reduce_system(PathSystem(collections, n_total))
     except ValueError as exc:  # only the entry check raises ValueError
         raise InternalInvariantError("subdivision coloring is not well-distributed") from exc
-    edge2orig: dict[Edge, Edge] = {}
-    for e, ch in chains.items():
-        for t in range(len(ch) - 1):
-            edge2orig[norm_edge(ch[t], ch[t + 1])] = e
     for z, u, z_new in events:
-        _apply_subdivision(chains, edge2orig, z, u, z_new)
+        _apply_subdivision(chains, home, z, u, z_new)
     paths = [coll[0] for coll in sys.collections]
-    return paths, chains, edge2orig, sys.next_vertex
+    return paths, chains, home, sys.next_vertex
 
 
 def _apply_subdivision(
     chains: dict[Edge, list[int]],
-    edge2orig: dict[Edge, Edge],
+    home: dict[int, Edge],
     z: int,
     u: int,
     z_new: int,
 ) -> None:
-    he = norm_edge(z, u)
-    orig = edge2orig.pop(he)
-    ch = chains[orig]
-    t = ch.index(z)  # chains are simple, so zu starts at t or t - 1
-    if t + 1 == len(ch) or ch[t + 1] != u:
-        t -= 1
-        if t < 0 or ch[t] != u:
-            raise InternalInvariantError(f"edge {he} is not in its chain")
-    ch.insert(t + 1, z_new)
-    edge2orig[norm_edge(z, z_new)] = orig
-    edge2orig[norm_edge(z_new, u)] = orig
+    """Subdivide the chain edge zu by z_new.  Original vertices are never
+    adjacent in a subdivision, so z or u is new and its home names the chain."""
+    orig = home.get(z) or home.get(u)
+    ch = chains[orig] if orig else []
+    t = ch.index(z) if z in ch else -1
+    if 0 <= t < len(ch) - 1 and ch[t + 1] == u:
+        t += 1  # the chain runs z, u: z_new goes after z
+    elif not (t > 0 and ch[t - 1] == u):  # else it runs u, z: z_new goes before z
+        raise InternalInvariantError(f"edge {norm_edge(z, u)} is not in its chain")
+    ch.insert(t, z_new)
+    home[z_new] = orig
 
 
 def _graph_from_chains(chains: dict[Edge, list[int]], n: int) -> Graph:
@@ -961,7 +962,7 @@ def cycle_top_cover(
     if g.m == 0:
         return g, OddCover(g, [], "cycle"), {}
 
-    reduced, chains, edge2orig, nxt = _reduced_topological_paths(g)
+    reduced, chains, home, nxt = _reduced_topological_paths(g)
     # Live paths by id; a new path takes the next id, so ascending ids are
     # the order the paths were made.  ends[x] holds the ids of the live
     # paths ending at x, and the lazy heap `longs` the ids of paths on >= 3
@@ -1008,7 +1009,7 @@ def cycle_top_cover(
                 cycles_out.append(other)
         else:
             side = _orient_start(drop(pu), u)
-            _apply_subdivision(chains, edge2orig, side[1], u, nxt)
+            _apply_subdivision(chains, home, side[1], u, nxt)
             add((nxt,) + side[1:])
             add((nxt, u) + _orient_start(drop(pv), v))
             nxt += 1

@@ -247,6 +247,56 @@ def reference_odd_matching(g):
     return frozenset(pairs)
 
 
+def reference_linear_forests(g, k):
+    """The union-find search that `oracle.exact_linear_forests` must agree
+    with: the same edge order, class order and pruning, with acyclicity
+    tested by per-class disjoint-set forests."""
+    if g.m == 0:
+        return [[] for _ in range(k)]
+    deg = g.degrees()
+    if k * (sum(1 for d in deg if d) - 1) < g.m:
+        return None
+    edges = sorted(g.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
+    m = len(edges)
+    color = [-1] * m
+    cdeg = [[0] * g.n for _ in range(k)]
+    root = [list(range(g.n)) for _ in range(k)]
+
+    def find(c, x):
+        while root[c][x] != x:
+            x = root[c][x]
+        return x
+
+    def assign(i, used):
+        if i == m:
+            return True
+        u, v = edges[i]
+        for c in range(min(k, used + 1)):
+            if cdeg[c][u] >= 2 or cdeg[c][v] >= 2:
+                continue
+            ru, rv = find(c, u), find(c, v)
+            if ru == rv:
+                continue
+            root[c][ru] = rv
+            cdeg[c][u] += 1
+            cdeg[c][v] += 1
+            color[i] = c
+            if assign(i + 1, max(used, c + 1)):
+                return True
+            color[i] = -1
+            cdeg[c][u] -= 1
+            cdeg[c][v] -= 1
+            root[c][ru] = ru
+        return False
+
+    if not assign(0, 0):
+        return None
+    out = [[] for _ in range(k)]
+    for i, e in enumerate(edges):
+        out[color[i]].append(e)
+    return [sorted(f) for f in out]
+
+
 def run_with_deadline(code: str, seconds: float) -> subprocess.CompletedProcess:
     """Run `code` in a child interpreter that imports the package from `src`
     and this module by name.  A stall past the deadline raises

@@ -175,7 +175,7 @@ def test_lower_bound_examples():
     star = Graph(6, [(0, i) for i in range(1, 6)])
     assert lower_bound(star) == 3  # v_odd = 6
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    assert lower_bound(k4, with_density=True) == 2
+    assert max(lower_bound(k4), max_subgraph_density(k4)) == 2
 
 
 def test_density_bound_brute_force_k4():
@@ -195,8 +195,6 @@ def test_density_bound_brute_force_k4():
 def test_density_bound_size_guard():
     with pytest.raises(ValueError):
         max_subgraph_density(Graph(13))
-    with pytest.raises(ValueError):
-        lower_bound(Graph(13), with_density=True)
 
 
 def test_lower_bound_never_exceeds_oracle_small():
@@ -204,8 +202,8 @@ def test_lower_bound_never_exceeds_oracle_small():
 
     for n in range(1, 5):
         for g in all_graphs(n):
-            assert lower_bound(g, with_density=True) <= exact_p2(g)[0]
+            assert max(lower_bound(g), max_subgraph_density(g)) <= exact_p2(g)[0]
     rng = rng_for("lb-oracle-6")
     for _ in range(60):
         g = random_graph(6, 0.5, rng)
-        assert lower_bound(g, with_density=True) <= exact_p2(g)[0]
+        assert max(lower_bound(g), max_subgraph_density(g)) <= exact_p2(g)[0]

@@ -273,9 +273,12 @@ def test_cli_kit_bug_exits_3(monkeypatch, capsys):
     assert "repeats a vertex" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+@pytest.mark.parametrize(
+    "exc", [RecursionError, MemoryError, KeyError, IndexError, TypeError]
+)
 def test_cli_unexpected_exception_exits_3(monkeypatch, capsys, exc):
-    # an exception no handler expects is a bug: exit 3, not a raw traceback
+    # an exception no handler expects is a bug: exit 3, not a raw traceback;
+    # a KeyError from solver code is not bad input either
     import io
 
     from oddcover import cli as climod
@@ -287,6 +290,15 @@ def test_cli_unexpected_exception_exits_3(monkeypatch, capsys, exc):
     monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
     assert climod.main(["cover", "-"]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_cli_missing_family_option_exits_1(capsys):
+    from oddcover import cli as climod
+
+    for verb in (["gen"], ["bench", "--count", "1"]):
+        assert climod.main([*verb, "--family", "gnp", "--n", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "--p" in err
 
 
 def test_cli_main_inprocess_reads_stdin(monkeypatch, capsys):

@@ -23,7 +23,13 @@ from oddcover.oracle import (
 )
 from oddcover.solver import path_odd_cover
 
-from support import all_graphs, random_graph, rng_for, run_with_deadline
+from support import (
+    all_graphs,
+    random_graph,
+    reference_linear_forests,
+    rng_for,
+    run_with_deadline,
+)
 
 
 def K(n):
@@ -125,6 +131,23 @@ def test_linear_forests_exhausted_search_refuses():
     g = Graph(7, list(K(5).edges) + [(4, 5), (5, 6)])
     assert exact_linear_forests(g, 2) is None
     assert exact_linear_arboricity(g)[0] == 3
+
+
+def test_linear_forests_match_the_union_find_search():
+    # path-end pointers take the same branches as disjoint-set forests, so
+    # the forests (or the refusal) are the same
+    rng = rng_for("forest-reference")
+    cases = [(Graph(7, list(K(5).edges) + [(4, 5), (5, 6)]), 2)]
+    for _ in range(400):
+        g = random_graph(rng.randrange(2, 10), rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+        half = -(-degree_profile(g)[0] // 2)
+        cases += [(g, half), (g, half + 1)]
+    refused = 0
+    for g, k in cases:
+        got = exact_linear_forests(g, k)
+        assert got == reference_linear_forests(g, k), (g, k)
+        refused += got is None
+    assert 0 < refused < len(cases)  # both outcomes are compared
 
 
 def test_exact_linear_forests():

@@ -29,7 +29,6 @@ from oddcover.solver import (
     path_odd_cover,
     peel_odd_path,
     peel_odd_paths,
-    solve_budget,
 )
 from oddcover.systems import iso_cover_from_forests
 
@@ -320,13 +319,19 @@ def test_cycle_odd_cover_rejects_odd_degrees():
         cycle_odd_cover(Graph(2, [(0, 1)]))
 
 
-def test_solve_budget_formulas():
-    b = solve_budget(K(4))  # v_odd = 4, delta = 3
-    assert (b.t, b.d, b.delta_e) == (2, 0, 4)
-    b = solve_budget(Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))  # v_odd = 8
-    assert (b.t, b.d, b.delta_e) == (2, -2, 2)
-    b = solve_budget(K(5))  # Eulerian
-    assert (b.t, b.d, b.delta_e) == (0, 4, 4)
+def test_integration_rounds_set_the_iso_budget():
+    assert [solver._integration_rounds(size) for size in range(5)] == [0, 1, 2, 2, 2]
+    for g, branch, t, d, delta_e in (
+        (K(4), "no-residual", 2, 0, 4),  # v_odd = 4, delta = 3
+        (Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), "direct", 2, -2, 2),  # v_odd = 8
+        (K(5), "linear-arboricity", 0, 4, 4),  # Eulerian
+    ):
+        delta, v_odd, _ = degree_profile(g)
+        assert solver._integration_rounds(v_odd // 2) == t
+        assert 2 * -(-delta // 2) == delta_e and delta_e - 2 * t == d
+        cover, got = iso_cover_general(g)
+        assert got == branch and verify_cover(cover).valid
+        assert cover.count <= (v_odd // 2 if d < 0 else 2 * t + d)
 
 
 def test_iso_cover_general_eulerian_delegates_to_forests():

@@ -156,7 +156,7 @@ def test_reduction_validates_whole_system_a_constant_number_of_times(monkeypatch
 def seeded_index(g):
     """The endpoint index _reduced_topological_paths reduces for g."""
     k = lower_bound(g)
-    chains, n_total = systems._subdivide3(g)
+    chains, _, n_total = systems._subdivide3(g)
     color = systems._color_tripled_edges(g, chains, k)
     collections = systems._classes_to_collections(color, k, n_total)
     return systems._EndpointIndex(PathSystem(collections, n_total))
@@ -285,23 +285,32 @@ def subdivision_witness(h, cover, chains):
     return [h.n, cover.members, sorted([list(e), ch] for e, ch in chains.items())]
 
 
-def test_witness_bytes_pinned():
-    # sha256 of seeded outputs of every caller of join, insert and meet,
-    # recorded before the moves ran on counters and heaps
-    rng = rng_for("pin-systems")
-    top, cyc, iso = [], [], []
+def pin_subdivision_graphs(rng):
+    """The inputs of the pinned topological_cover and cycle_top_cover rows."""
+    top, cyc = [], []
     while len(top) < 40:
         g = random_graph(rng.randrange(4, 22), rng.choice([0.15, 0.3, 0.5]), rng)
         if not is_exceptional_family(g) and lower_bound(g) >= 2:
-            top.append(subdivision_witness(*topological_cover(g)))
-    top.append(subdivision_witness(*topological_cover(gnp(120, 0.05, seed=3))))
+            top.append(g)
+    top.append(gnp(120, 0.05, seed=3))
     trial = 0
     while len(cyc) < 40:
         trial += 1
         g = eulerian_random(rng.randrange(5, 16), seed=900 + trial)
         if degree_profile(g)[0] >= 4:
-            cyc.append(subdivision_witness(*cycle_top_cover(g)))
-    cyc.append(subdivision_witness(*cycle_top_cover(hamiltonian_union(200, 3, seed=4))))
+            cyc.append(g)
+    cyc.append(hamiltonian_union(200, 3, seed=4))
+    return top, cyc
+
+
+def test_witness_bytes_pinned():
+    # sha256 of seeded outputs of every caller of join, insert and meet,
+    # recorded before the moves ran on counters and heaps
+    rng = rng_for("pin-systems")
+    top_graphs, cyc_graphs = pin_subdivision_graphs(rng)
+    top = [subdivision_witness(*topological_cover(g)) for g in top_graphs]
+    cyc = [subdivision_witness(*cycle_top_cover(g)) for g in cyc_graphs]
+    iso = []
     while len(iso) < 60:
         n = rng.randrange(5, 11)
         if len(iso) % 2:
@@ -333,6 +342,37 @@ def test_witness_bytes_pinned():
         "forest": "9c39589b1804fe19ffabae557cc0e9a433718cd04638ab49ee744fff9eac3981",
         "la2": "69c47cf80d103cd4272f5d8dde75be1f45452eb876fd61cb71bf970f3d1ad837",
     }
+
+
+def test_every_subdivision_vertex_knows_its_home_edge(monkeypatch):
+    homes = []
+    real = systems._reduced_topological_paths
+
+    def keep(g):
+        out = real(g)
+        homes.append(out[2])
+        return out
+
+    monkeypatch.setattr(systems, "_reduced_topological_paths", keep)
+    top_graphs, cyc_graphs = pin_subdivision_graphs(rng_for("pin-systems"))
+    for solve, graphs in ((topological_cover, top_graphs), (cycle_top_cover, cyc_graphs)):
+        for g in graphs:
+            homes.clear()
+            h, cover, chains = solve(g)
+            (home,) = homes
+            for e, ch in chains.items():
+                assert all(home[x] == e for x in ch[1:-1])
+            assert sorted(home) == list(range(g.n, h.n))
+
+
+def test_apply_subdivision_rejects_a_pair_on_no_chain():
+    chains, home, nxt = systems._subdivide3(Graph(3, [(0, 1), (1, 2)]))
+    assert chains == {(0, 1): [0, 3, 4, 1], (1, 2): [1, 5, 6, 2]}
+    for z, u in ((0, 1), (3, 5), (3, 1), (9, 3)):
+        with pytest.raises(InternalInvariantError, match="not in its chain"):
+            systems._apply_subdivision(chains, home, z, u, nxt)
+    systems._apply_subdivision(chains, home, 4, 3, nxt)  # a chain edge, either way round
+    assert chains[(0, 1)] == [0, 3, nxt, 4, 1] and home[nxt] == (0, 1)
 
 
 _WINDMILL_CYCLE_TOP = """
