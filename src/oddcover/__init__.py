@@ -29,7 +29,6 @@ from .families import (
     walecki_cycles,
 )
 from .oracle import (
-    EdgeVector,
     bound_gap_scan,
     exact_c2,
     exact_linear_arboricity,

@@ -139,14 +139,8 @@ def _cmd_verify(args) -> int:
 
 
 def _family_params(args) -> dict:
-    params = {}
-    for key in ("n", "k", "len", "seed"):
-        val = getattr(args, key.replace("len", "length"), None)
-        if val is not None:
-            params[key] = val
-    if args.p is not None:
-        params["p"] = args.p
-    return params
+    opts = {"n": args.n, "k": args.k, "len": args.length, "p": args.p, "seed": args.seed}
+    return {key: val for key, val in opts.items() if val is not None}
 
 
 def _cmd_gen(args) -> int:

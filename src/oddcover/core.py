@@ -250,6 +250,14 @@ def verify_cover(cover: OddCover) -> VerificationReport:
     )
 
 
+def certified(cover: OddCover, count_ok: bool, what: str) -> OddCover:
+    """The exit of every public solver: the cover, once its count holds and
+    verify_cover accepts it; otherwise InternalInvariantError naming `what`."""
+    if count_ok and verify_cover(cover).valid:
+        return cover
+    raise InternalInvariantError(f"{what} failed self-check")
+
+
 MAX_DENSITY_N = 12  # largest n the subset scan of max_subgraph_density accepts
 
 

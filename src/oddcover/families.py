@@ -70,8 +70,10 @@ def cycles_on_path(k: int, length: int = 4) -> Graph:
 
 def eulerian_random(n: int, seed: int, rounds: int | None = None) -> Graph:
     """Random even-degree graph: the XOR of random cycles is always even."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n < 3:
-        return Graph(max(n, 0))
+        return Graph(n)
     rng = random.Random(seed)
     rounds = rounds if rounds is not None else max(2, n)
     edges: set[Edge] = set()

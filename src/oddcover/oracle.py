@@ -21,8 +21,9 @@ exhaustive sweeps over many graphs on the same universe reuse one search.
 
 The search runs on a bitset view of the C(n, 2) vertex pairs: `edge_index`
 maps pair (u, v) with u < v to bit u*n - u*(u+1)/2 + (v - u - 1), and
-`EdgeVector` holds a pair subset as an int, so oracle witnesses are
-bit-exact across implementations.
+`_mask` ORs an edge set into a plain int, so oracle witnesses are
+bit-exact across implementations.  `_generators(n, kind)` lists the path or
+cycle generators once per universe, as masks and vertex sequences.
 
 numpy is imported inside `_XorSearch` alone, so it loads on the first exact
 query and `import oddcover` (and every CLI verb but `exact`) runs without it.
@@ -30,7 +31,6 @@ query and `import oddcover` (and every CLI verb but `exact`) runs without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
@@ -40,11 +40,11 @@ from .core import (
     Graph,
     InternalInvariantError,
     OddCover,
+    certified,
     degree_profile,
     lower_bound,
     max_subgraph_density,
     norm_edge,
-    verify_cover,
 )
 
 MAX_ORACLE_N = 7
@@ -60,76 +60,40 @@ def edge_index(n: int, u: int, v: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-@dataclass(frozen=True)
-class EdgeVector:
-    """Subset of the C(n, 2) vertex pairs, stored as an int bitset."""
-
-    n: int
-    bits: int = 0
-
-    def __xor__(self, other: "EdgeVector") -> "EdgeVector":
-        if self.n != other.n:
-            raise ValueError(f"universe mismatch: n={self.n} vs n={other.n}")
-        return EdgeVector(self.n, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Edge]) -> "EdgeVector":
-        bits = 0
-        for u, v in edges:
-            bits ^= 1 << edge_index(n, u, v)
-        return cls(n, bits)
-
-    def edges(self) -> list[Edge]:
-        """The pairs whose bits are set, in bit order."""
-        out = []
-        i = 0
-        for u in range(self.n - 1):
-            for v in range(u + 1, self.n):
-                if self.bits >> i & 1:
-                    out.append((u, v))
-                i += 1
-        return out
-
-
-def _path_mask(n: int, seq: Sequence[int]) -> int:
+def _mask(n: int, edges: Iterable[Edge]) -> int:
+    """The C(n, 2)-bit vector of an edge set, as an int."""
     mask = 0
-    for i in range(len(seq) - 1):
-        mask |= 1 << edge_index(n, seq[i], seq[i + 1])
+    for u, v in edges:
+        mask |= 1 << edge_index(n, u, v)
     return mask
 
 
-def _cycle_mask(n: int, seq: Sequence[int]) -> int:
-    return _path_mask(n, seq) | (1 << edge_index(n, seq[-1], seq[0]))
-
-
 @lru_cache(maxsize=None)
-def _path_generators(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    masks = []
-    seqs = []
-    for k in range(2, n + 1):
-        for perm in permutations(range(n), k):
-            if perm[0] < perm[-1]:  # one orientation per undirected path
-                masks.append(_path_mask(n, perm))
-                seqs.append(perm)
-    return tuple(masks), tuple(seqs)
+def _generators(n: int, kind: str) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(masks, seqs) of every path (kind "path") or cycle ("cycle") on n vertices.
 
-
-@lru_cache(maxsize=None)
-def _cycle_generators(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    masks = []
-    seqs = []
-    for k in range(3, n + 1):
-        for vs in combinations(range(n), k):
-            first = vs[0]
-            for perm in permutations(vs[1:]):
-                if perm[0] < perm[-1]:  # fix rotation and reflection
-                    seq = (first,) + perm
-                    masks.append(_cycle_mask(n, seq))
-                    seqs.append(seq)
-    return tuple(masks), tuple(seqs)
+    A path keeps the orientation with first vertex < last, a cycle starts at
+    its smallest vertex with second vertex < last.  Both are listed by
+    length, then in itertools order; witnesses index into this order.
+    """
+    if kind == "path":
+        seqs = [
+            perm
+            for k in range(2, n + 1)
+            for perm in permutations(range(n), k)
+            if perm[0] < perm[-1]
+        ]
+    else:
+        seqs = [
+            (vs[0],) + perm
+            for k in range(3, n + 1)
+            for vs in combinations(range(n), k)
+            for perm in permutations(vs[1:])
+            if perm[0] < perm[-1]
+        ]
+    closed = kind == "cycle"
+    masks = tuple(_mask(n, zip(s, s[1:] + s[:closed])) for s in seqs)
+    return masks, tuple(seqs)
 
 
 class _XorSearch:
@@ -224,8 +188,7 @@ class _XorSearch:
 
 @lru_cache(maxsize=None)
 def _engine(n: int, kind: str) -> _XorSearch:
-    masks, _ = _path_generators(n) if kind == "path" else _cycle_generators(n)
-    return _XorSearch(n * (n - 1) // 2, masks)
+    return _XorSearch(n * (n - 1) // 2, _generators(n, kind)[0])
 
 
 def _solve(g: Graph, kind: str, max_k: int | None) -> tuple[int, OddCover] | None:
@@ -235,17 +198,13 @@ def _solve(g: Graph, kind: str, max_k: int | None) -> tuple[int, OddCover] | Non
         return (0, OddCover(g, [], kind)) if g.m == 0 else None
     budget = max_k if max_k is not None else max(1, g.m)
     eng = _engine(g.n, kind)
-    target = EdgeVector.from_edges(g.n, g.edges).bits
-    res = eng.solve(target, budget)
+    res = eng.solve(_mask(g.n, g.edges), budget)
     if res is None:
         return None
     k, picks = res
-    _, seqs = _path_generators(g.n) if kind == "path" else _cycle_generators(g.n)
-    members = [seqs[i] for i in picks]
-    cover = OddCover(g, members, kind)
-    if not verify_cover(cover).valid or cover.count != k:
-        raise InternalInvariantError("oracle witness failed verification")
-    return k, cover
+    seqs = _generators(g.n, kind)[1]
+    cover = OddCover(g, [seqs[i] for i in picks], kind)
+    return k, certified(cover, cover.count == k, "oracle witness")
 
 
 def exact_p2(g: Graph, max_k: int | None = None) -> tuple[int, OddCover] | None:

@@ -20,12 +20,12 @@ from .core import (
     Graph,
     InternalInvariantError,
     OddCover,
+    certified,
     cycle_edges,
     degree2_components,
     degree_profile,
     norm_edge,
     path_edges,
-    verify_cover,
 )
 from .cycles import odd_matching, peel_cycle_layers
 from .oracle import MAX_FOREST_N, exact_linear_arboricity
@@ -139,9 +139,7 @@ def cover_first_bound(g: Graph) -> OddCover:
     members, cur = peel_odd_paths(g, v_odd0 // 2)
     members += _spend_layers(peel_cycle_layers(cur), [])
     cover = OddCover(g, members, "path")
-    if not verify_cover(cover).valid or cover.count > delta0 + v_odd0 // 2:
-        raise InternalInvariantError("additive-bound cover failed self-check")
-    return cover
+    return certified(cover, cover.count <= delta0 + v_odd0 // 2, "additive-bound cover")
 
 
 def _integration_rounds(matching_size: int) -> int:
@@ -211,9 +209,7 @@ def cover_eulerian_plus_matching(
     layers = peel_cycle_layers(g_prime)
     cover = OddCover(g_prime.xor(matching), _spend_layers(layers, m), "path")
     rounds = max(_integration_rounds(len(m)), len(layers))
-    if not verify_cover(cover).valid or cover.count > 2 * rounds:
-        raise InternalInvariantError("matching integration failed self-check")
-    return cover
+    return certified(cover, cover.count <= 2 * rounds, "matching integration")
 
 
 def path_odd_cover(g: Graph) -> OddCover:
@@ -243,9 +239,7 @@ def path_odd_cover(g: Graph) -> OddCover:
         members += _spend_layers(peel_cycle_layers(cur.xor(m)), m)
 
     cover = OddCover(g, members, "path")
-    if not verify_cover(cover).valid or cover.count > bound:
-        raise InternalInvariantError("degree-bound cover failed self-check")
-    return cover
+    return certified(cover, cover.count <= bound, "degree-bound cover")
 
 
 def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
@@ -293,9 +287,7 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
         branch = "no-residual"
 
     cover = OddCover(Graph(n_total, g.edges), members, "path")
-    if not verify_cover(cover).valid or cover.count > 2 * t + d:
-        raise InternalInvariantError("isolated-vertex cover failed self-check")
-    return cover, branch
+    return certified(cover, cover.count <= 2 * t + d, "isolated-vertex cover"), branch
 
 
 def cycle_odd_cover(g: Graph) -> OddCover:
@@ -316,6 +308,4 @@ def cycle_odd_cover(g: Graph) -> OddCover:
             tp = cover_cycles(layer)
             members += [tp.p, tp.q]
     cover = OddCover(g, members, "cycle")
-    if not verify_cover(cover).valid or cover.count > delta:
-        raise InternalInvariantError("cycle cover failed self-check")
-    return cover
+    return certified(cover, cover.count <= delta, "cycle cover")

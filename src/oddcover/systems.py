@@ -40,12 +40,12 @@ from .core import (
     Graph,
     InternalInvariantError,
     OddCover,
+    certified,
     degree2_components,
     degree_profile,
     lower_bound,
     norm_edge,
     odd_edges,
-    verify_cover,
 )
 from .twopaths import TwoPaths
 
@@ -793,10 +793,7 @@ def topological_cover(
     paths, chains, _, n_total = _reduced_topological_paths(g)
     h = _graph_from_chains(chains, n_total)
     cover = OddCover(h, paths, "path")
-    report = verify_cover(cover)
-    if not report.valid or cover.count != k:
-        raise InternalInvariantError("topological cover failed self-check")
-    return h, cover, chains
+    return h, certified(cover, cover.count == k, "topological cover"), chains
 
 
 # ---------------------------------------------------------------------------
@@ -909,10 +906,7 @@ def iso_cover_from_forests(
     members = [next(iter(coll.values())) for coll in idx.colls]
     target = Graph(idx.next_vertex, g.edges)
     cover = OddCover(target, members, "path")
-    report = verify_cover(cover)
-    if not report.valid or cover.count != len(forests):
-        raise InternalInvariantError("forest stitching failed self-check")
-    return cover
+    return certified(cover, cover.count == len(forests), "forest stitching")
 
 
 def cycle_iso_cover(g: Graph, forests: Sequence[Iterable[Edge]]) -> OddCover:
@@ -925,11 +919,7 @@ def cycle_iso_cover(g: Graph, forests: Sequence[Iterable[Edge]]) -> OddCover:
     w = base.target.n
     members = [tuple(p) + (w,) for p in base.members]
     target = Graph(w + 1, g.edges)
-    cover = OddCover(target, members, "cycle")
-    report = verify_cover(cover)
-    if not report.valid:
-        raise InternalInvariantError("apex closing failed self-check")
-    return cover
+    return certified(OddCover(target, members, "cycle"), True, "apex closing")
 
 
 # ---------------------------------------------------------------------------
@@ -955,10 +945,7 @@ def cycle_top_cover(
         if len(cycles) >= 2:
             raise ValueError("union of two or more disjoint cycles is excluded")
         chains = {e: [e[0], e[1]] for e in sorted(g.edges)}
-        cover = OddCover(g, cycles, "cycle")
-        if not verify_cover(cover).valid:
-            raise InternalInvariantError("single-cycle cover failed self-check")
-        return g, cover, chains
+        return g, certified(OddCover(g, cycles, "cycle"), True, "single-cycle cover"), chains
     if g.m == 0:
         return g, OddCover(g, [], "cycle"), {}
 
@@ -1015,7 +1002,4 @@ def cycle_top_cover(
             nxt += 1
     h = _graph_from_chains(chains, nxt)
     cover = OddCover(h, cycles_out, "cycle")
-    report = verify_cover(cover)
-    if not report.valid or cover.count > delta // 2:
-        raise InternalInvariantError("cycle cover of subdivision failed self-check")
-    return h, cover, chains
+    return h, certified(cover, cover.count <= delta // 2, "cycle cover of subdivision"), chains

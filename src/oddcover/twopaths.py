@@ -195,27 +195,17 @@ def splice_stand_ins(
             raise InternalInvariantError(
                 f"stand-in edge {edge} lies on {len(hits)} paths"
             )
-        p = out[hits[0]]
-        i = path_edges(p).index(edge)
-        w = list(walk) if walk[0] == p[i] else list(walk)[::-1]
-        out[hits[0]] = p[:i] + w + p[i + 2 :]
+        out[hits[0]] = _splice(out[hits[0]], edge, walk)
     return TwoPaths(*map(tuple, out))
 
 
-def _insert_detour(path: Sequence[int], edge: Edge, arc: Sequence[int]) -> list[int]:
-    """Reroute a u-v edge of the path through a vertex-disjoint arc.
-
-    The arc keeps its own orientation relative to the normalized edge, so
-    applying this to two paths sharing the edge adds the same two connector
-    edges to both (they cancel in the XOR).
-    """
-    e = set(edge)
-    lo = min(edge)
-    for i in range(len(path) - 1):
-        if {path[i], path[i + 1]} == e:
-            w = list(arc) if path[i] == lo else list(arc)[::-1]
-            return list(path[: i + 1]) + w + list(path[i + 1 :])
-    raise InternalInvariantError(f"edge {edge} not on path {list(path)}")
+def _splice(path: Sequence[int], edge: Edge, walk: Sequence[int]) -> list[int]:
+    """Replace the normalized edge u-v of the path by a u..v walk, turned
+    to run the way the path crosses the edge."""
+    p = list(path)
+    i = path_edges(p).index(edge)
+    w = list(walk) if walk[0] == p[i] else list(walk)[::-1]
+    return p[:i] + w + p[i + 2 :]
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +537,9 @@ def _case_spread(
     pool = sorted(v for v in layer.cycles[lone] if v != w)
     arc1, arc2 = layer.arcs(pool[0], pool[1])
     p_arc, q_arc = (arc1, arc2) if w not in arc1 else (arc2, arc1)
-    new_p = _insert_detour(p, e, p_arc)
-    new_q = _insert_detour(q, e, q_arc)
+    # the same two connector edges go onto both paths and cancel in the XOR
+    new_p = _splice(p, e, [e[0], *p_arc, e[1]])
+    new_q = _splice(q, e, [e[0], *q_arc, e[1]])
     return TwoPaths(tuple(new_p + [w]), tuple(new_q))
 
 

@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from oddcover import core
 from oddcover.core import (
     Graph,
+    InternalInvariantError,
     OddCover,
+    VerificationReport,
+    certified,
     degree2_components,
     degree_profile,
     lower_bound,
@@ -12,10 +14,23 @@ from oddcover.core import (
     verify_cover,
 )
 from oddcover.families import counterexample, disjoint_cycles
-from oddcover.oracle import EdgeVector, edge_index
+from oddcover.oracle import _mask, edge_index, exact_c2, exact_p2
+from oddcover.solver import (
+    cover_eulerian_plus_matching,
+    cover_first_bound,
+    cycle_odd_cover,
+    iso_cover_general,
+    path_odd_cover,
+)
+from oddcover.systems import (
+    cycle_iso_cover,
+    cycle_top_cover,
+    iso_cover_from_forests,
+    topological_cover,
+)
 from oddcover.twopaths import cover_cycles
 
-from support import all_graphs, random_graph, rng_for, xor_members
+from support import all_graphs, complete, random_graph, rng_for, xor_members
 
 
 def test_edge_index_is_bit_exact():
@@ -25,7 +40,7 @@ def test_edge_index_is_bit_exact():
     for u in range(n):
         for v in range(u + 1, n):
             assert edge_index(n, u, v) == expected
-            assert EdgeVector(n, 1 << expected).edges() == [(u, v)]
+            assert _mask(n, [(v, u)]) == 1 << expected
             expected += 1
     assert expected == 15
 
@@ -37,39 +52,15 @@ def test_edge_index_rejects_bad_pairs():
         edge_index(4, 1, 4)
 
 
-vectors = st.integers(min_value=0, max_value=(1 << 6) - 1)
-
-
-@given(vectors, vectors, vectors)
-def test_xor_group_laws(a, b, c):
-    va, vb, vc = (EdgeVector(4, x) for x in (a, b, c))
-    assert va ^ vb == vb ^ va
-    assert (va ^ vb) ^ vc == va ^ (vb ^ vc)
-    assert va ^ va == EdgeVector(4, 0)
-
-
-def test_xor_exhaustive_tiny():
-    # all pairs over the K4 edge space
-    for a in range(64):
-        for b in range(64):
-            assert (EdgeVector(4, a) ^ EdgeVector(4, b)).bits == a ^ b
-
-
-def test_xor_universe_mismatch():
-    with pytest.raises(ValueError):
-        EdgeVector(4, 1) ^ EdgeVector(5, 1)
-
-
 def test_xor_examples():
-    tri = EdgeVector.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert (tri ^ tri).bits == 0
-    a = EdgeVector.from_edges(3, [(0, 1), (1, 2)])
-    b = EdgeVector.from_edges(3, [(1, 2), (0, 2)])
-    assert sorted((a ^ b).edges()) == [(0, 1), (0, 2)]
-    singles = [EdgeVector.from_edges(3, [e]) for e in [(0, 1), (1, 2), (0, 2)]]
-    acc = EdgeVector(3, 0)
-    for s in singles:
-        acc = acc ^ s
+    tri = _mask(3, [(0, 1), (1, 2), (0, 2)])
+    assert tri ^ tri == 0
+    a = _mask(3, [(0, 1), (1, 2)])
+    b = _mask(3, [(1, 2), (0, 2)])
+    assert a ^ b == _mask(3, [(0, 1), (0, 2)])
+    acc = 0
+    for e in [(0, 1), (1, 2), (0, 2)]:
+        acc ^= _mask(3, [e])
     assert acc == tri
 
 
@@ -163,11 +154,10 @@ def test_verify_against_bitset_xor_agrees():
         odd = xor_members(members)
         g = Graph(n, odd)
         assert verify_cover(OddCover(g, members, "path")).valid
-        vec = EdgeVector(n, 0)
+        vec = 0
         for p in members:
-            acc = EdgeVector.from_edges(n, zip(p, p[1:]))
-            vec = vec ^ acc
-        assert vec == EdgeVector.from_edges(n, g.edges)
+            vec ^= _mask(n, zip(p, p[1:]))
+        assert vec == _mask(n, g.edges)
 
 
 def test_lower_bound_examples():
@@ -207,3 +197,64 @@ def test_lower_bound_never_exceeds_oracle_small():
     for _ in range(60):
         g = random_graph(6, 0.5, rng)
         assert max(lower_bound(g), max_subgraph_density(g)) <= exact_p2(g)[0]
+
+
+def test_certified_needs_the_count_and_the_xor():
+    g = Graph(3, [(0, 1), (1, 2)])
+    cover = OddCover(g, [(0, 1, 2)], "path")
+    assert certified(cover, True, "hand cover") is cover
+    with pytest.raises(InternalInvariantError, match="^hand cover failed self-check$"):
+        certified(cover, False, "hand cover")
+    with pytest.raises(InternalInvariantError, match="^hand cover failed self-check$"):
+        certified(OddCover(g, [(0, 1)], "path"), True, "hand cover")
+
+
+K5 = complete(5)
+_FOREST_GRAPH, _, _FORESTS, _ = counterexample(3)
+
+
+def _iso(g, branch):
+    cover, got = iso_cover_general(g)
+    assert got == branch
+    return cover
+
+
+# Each public exit on a small input, with the name it fails under.  The
+# cycle_top rows reach its single-cycle and subdivision exits.
+EXITS = [
+    ("additive-bound cover", lambda: cover_first_bound(K5)),
+    ("matching integration", lambda: cover_eulerian_plus_matching(K5, [(0, 1)])),
+    ("degree-bound cover", lambda: path_odd_cover(K5.remove_edges([(0, 1)]))),
+    ("isolated-vertex cover", lambda: _iso(K5, "linear-arboricity")),
+    ("isolated-vertex cover", lambda: _iso(disjoint_cycles(1, 11), "layer-pairs")),
+    ("cycle cover", lambda: cycle_odd_cover(K5)),
+    ("topological cover", lambda: topological_cover(K5)),
+    ("forest stitching", lambda: iso_cover_from_forests(_FOREST_GRAPH, _FORESTS)),
+    ("apex closing", lambda: cycle_iso_cover(_FOREST_GRAPH, _FORESTS)),
+    ("single-cycle cover", lambda: cycle_top_cover(disjoint_cycles(1, 5))),
+    ("cycle cover of subdivision", lambda: cycle_top_cover(K5)),
+    ("oracle witness", lambda: exact_p2(complete(4))),
+    ("oracle witness", lambda: exact_c2(K5)),
+]
+
+
+@pytest.mark.parametrize("what, solve", EXITS, ids=[f"{i}-{w}" for i, (w, _) in enumerate(EXITS)])
+def test_every_public_exit_is_certified(monkeypatch, what, solve):
+    # Count the checks a clean run makes, then fail only the last one: the
+    # exit itself must raise, under its own name, through core.verify_cover.
+    real = core.verify_cover
+    calls = []
+    monkeypatch.setattr(core, "verify_cover", lambda cover: calls.append(cover) or real(cover))
+    solve()
+    last = len(calls)
+    assert last >= 1
+    calls.clear()
+
+    def fail_last(cover):
+        calls.append(cover)
+        return VerificationReport(valid=False) if len(calls) == last else real(cover)
+
+    monkeypatch.setattr(core, "verify_cover", fail_last)
+    with pytest.raises(InternalInvariantError, match=f"^{what} failed self-check$"):
+        solve()
+    assert len(calls) == last

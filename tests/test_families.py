@@ -1,6 +1,6 @@
 import pytest
 
-from oddcover.core import OddCover, degree_profile, norm_edge, path_edges, verify_cover
+from oddcover.core import Graph, OddCover, degree_profile, norm_edge, path_edges, verify_cover
 from oddcover.families import (
     counterexample,
     cycles_on_path,
@@ -39,6 +39,13 @@ def test_eulerian_random_always_even():
     for seed in range(30):
         g = eulerian_random(11, seed=seed)
         assert g.is_even()
+
+
+def test_eulerian_random_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        eulerian_random(-1, seed=0)
+    for n in range(3):
+        assert eulerian_random(n, seed=0) == Graph(n)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])

@@ -301,6 +301,15 @@ def test_cli_missing_family_option_exits_1(capsys):
         assert err.startswith("invalid input: ") and "--p" in err
 
 
+def test_cli_negative_vertex_count_exits_1(capsys):
+    from oddcover import cli as climod
+
+    for family in (["gnp", "--p", "0.5"], ["eulerian-random"]):
+        assert climod.main(["gen", "--family", *family, "--n", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and "need n >= 0" in err
+
+
 def test_cli_main_inprocess_reads_stdin(monkeypatch, capsys):
     from oddcover import cli as climod
 

@@ -39,19 +39,19 @@ def K(n):
 def test_enumerate_paths_counts():
     # sum over k of n!/(n-k)!/2 undirected vertex sequences
     for n, count in ((2, 1), (3, 6), (6, 975), (7, 6846)):
-        masks, seqs = oracle._path_generators(n)
+        masks, seqs = oracle._generators(n, "path")
         assert len(masks) == len(seqs) == count
 
 
 def test_enumerate_paths_distinct_vectors():
-    masks, _ = oracle._path_generators(5)
+    masks, _ = oracle._generators(5, "path")
     assert len(set(masks)) == len(masks)
 
 
 def test_enumerate_cycles_counts():
     # sum over k of C(n,k) (k-1)!/2
     for n, count in ((3, 1), (5, 37), (7, 1172)):
-        masks, seqs = oracle._cycle_generators(n)
+        masks, seqs = oracle._generators(n, "cycle")
         assert len(masks) == len(seqs) == count
 
 
@@ -291,8 +291,8 @@ def _set_bfs(masks):
 @pytest.mark.parametrize(
     "n_bits, masks",
     [
-        (10, oracle._path_generators(5)[0]),
-        (10, oracle._cycle_generators(5)[0]),
+        (10, oracle._generators(5, "path")[0]),
+        (10, oracle._generators(5, "cycle")[0]),
         (4, [0b0011, 0b0110, 0b0011, 0, 0b1000]),  # a duplicate and a zero
     ],
     ids=["path5", "cycle5", "hand"],
@@ -309,13 +309,38 @@ def test_xor_search_matches_set_bfs(monkeypatch, block, n_bits, masks):
         assert (layer[1:] > layer[:-1]).all()  # sorted, no repeats
 
 
+# sha256 of repr((masks, seqs)), recorded before the two generator tables
+# became one: the witnesses index into seqs, so their order is pinned too.
+GENERATOR_PINS = [
+    ("path", 2, 1, "2c763099872038f7769c4dbeedbe936d36343ac013c8cc8ff02d37f8e33b1ff8"),
+    ("path", 3, 6, "9de377072986ada2bc161774872e1836fc6881de77bcf9cd517e54819a812546"),
+    ("path", 4, 30, "4f4728ff353aaffb0713933db25811412d5448a6ed4d70bf437207c61f411798"),
+    ("path", 5, 160, "b7ead1e73f556a3f640da4e44d7a47867805888ee95b5c2df7e953198924a556"),
+    ("path", 6, 975, "93fdb75d649f0fbeb98b2efdad591e1f9b800c055465e102c3afb9e952bc8bd5"),
+    ("path", 7, 6846, "51c82b7e377fc62282b04ce304e5dd7a936efef9d3e057f20225b3afa1784d8d"),
+    ("cycle", 2, 0, "56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88"),
+    ("cycle", 3, 1, "f793865a81a43546652dbaa9ba0dd49ca3851d680bd901e30ee9e483e122fc5e"),
+    ("cycle", 4, 7, "423a70787cf16803ccf87ebe03aead33eda8a0f3336e163d4dc2f7cb2402ebbd"),
+    ("cycle", 5, 37, "430b73b7da0575b3e3e009b64470ec802ea44c70c584b9d1358650cc677de788"),
+    ("cycle", 6, 197, "ef731b026aab8d68442eda2a754e1b780000440aa90b46b4394a9db544abd9cc"),
+    ("cycle", 7, 1172, "730e073ddbd07e2cba8f8d4e814a21115a3d69348d366f6da6a1acac659d6ede"),
+]
+
+
+@pytest.mark.parametrize("kind, n, count, digest", GENERATOR_PINS)
+def test_generator_tables_pinned(kind, n, count, digest):
+    table = oracle._generators(n, kind)
+    assert len(table[0]) == len(table[1]) == count
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
+
+
 def test_depth_two_tables_pinned():
     # Recorded before the table fill was blocked; layers are read off dist.
-    for gens, sizes, digest in (
-        (oracle._path_generators, [1, 6846, 940229], "b06174d585cb61c1111ff03917839dc600c4743a042ff5ba1b31fda1ed8d6944"),
-        (oracle._cycle_generators, [1, 1172, 25546], "bf9fc3786ab4d69b9a55b297a46eb2b37fb044ff60c8c63d5c5f02a07217c68c"),
+    for kind, sizes, digest in (
+        ("path", [1, 6846, 940229], "b06174d585cb61c1111ff03917839dc600c4743a042ff5ba1b31fda1ed8d6944"),
+        ("cycle", [1, 1172, 25546], "bf9fc3786ab4d69b9a55b297a46eb2b37fb044ff60c8c63d5c5f02a07217c68c"),
     ):
-        eng = oracle._XorSearch(21, gens(7)[0])
+        eng = oracle._XorSearch(21, oracle._generators(7, kind)[0])
         eng._extend()
         eng._extend()
         assert [len(layer) for layer in eng.layers] == sizes
@@ -332,7 +357,7 @@ def peak():
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
 
 
-oracle._path_generators(7)
+oracle._generators(7, "path")
 before = peak()
 k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
 assert oracle.exact_p2(Graph(7, k4 + [(4, 5), (5, 6), (4, 6)]))[0] == 3

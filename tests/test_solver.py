@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oddcover import solver, twopaths
+from oddcover import core, solver, twopaths
 from oddcover.core import (
     Graph,
     InternalInvariantError,
@@ -165,13 +165,13 @@ def test_path_odd_cover_verifies_once(monkeypatch):
     # K5 minus an edge: delta = 4 and two odd vertices, so the matching
     # edge is integrated into a cycle layer; only the whole cover is checked.
     calls = []
-    real = solver.verify_cover
+    real = core.verify_cover
 
     def spy(cover):
         calls.append(cover.count)
         return real(cover)
 
-    monkeypatch.setattr(solver, "verify_cover", spy)
+    monkeypatch.setattr(core, "verify_cover", spy)
     g = Graph(5, sorted(K(5).edges - {(0, 1)}))
     assert degree_profile(g)[:2] == (4, 2)
     cover = path_odd_cover(g)
