@@ -72,12 +72,13 @@ class Graph:
         return norm_edge(u, v) in self.edges
 
     def adjacency(self) -> list[list[int]]:
+        """The neighbours of each vertex, every row sorted."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        # sorted edges fill every row in increasing order: first the smaller
-        # neighbours (edges (u, v) ending at v), then the larger ones
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
+        for row in adj:
+            row.sort()
         return adj
 
     def degrees(self) -> list[int]:

@@ -9,11 +9,16 @@ vertex that is *not* of maximum degree, and read a perfect matching back as
 a successor function whose nontrivial orbits are the desired cycles.
 Repeating until no edges remain peels the graph into exactly delta/2 layers,
 each dropping the maximum degree by two.
+
+Every step runs on sorted adjacency rows (`Graph.adjacency`), the residual
+a solver pipeline builds once and edits in place; the Graph-taking
+functions build the rows and run the same step.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+from typing import Iterator, Sequence
 
 from .core import (
     Edge,
@@ -39,14 +44,15 @@ def odd_matching(g: Graph) -> frozenset[Edge]:
     unmatched vertex below the maximum that is not u's neighbour (a walk of
     at most deg(u) + 1 steps), else the least unmatched vertex.  O(n + m).
     """
-    deg = g.degrees()
+    return _odd_matching(g.adjacency())
+
+
+def _odd_matching(adj: list[list[int]]) -> frozenset[Edge]:
+    """odd_matching on adjacency rows; only sets and minima of a row are
+    taken, so their order does not matter."""
+    deg = list(map(len, adj))
     delta = max(deg, default=0)
-    odd = [v for v in range(g.n) if deg[v] % 2]
-    row: dict[int, list[int]] = {v: [] for v in odd}
-    for a, b in g.edges:
-        if deg[a] % 2 and deg[b] % 2:
-            row[a].append(b)
-            row[b].append(a)
+    odd = [v for v, d in enumerate(deg) if d % 2]
     # id-ordered linked lists of the unmatched odd vertices (all of them, and
     # those below delta) as successor and predecessor maps; -1 is the head
     chains = [
@@ -66,13 +72,13 @@ def odd_matching(g: Graph) -> frozenset[Edge]:
         u = unmatched[-1]
         take(u)
         top = deg[u] == delta
-        near = [v for v in row[u] if v in unmatched and (top or deg[v] == delta)]
+        near = [v for v in adj[u] if v in unmatched and (top or deg[v] == delta)]
         if near:
             v = min(near)
         else:
             v = -1
             if not top:
-                adjacent = set(row[u])
+                adjacent = set(adj[u])
                 v = low[-1]
                 while v in adjacent:
                     v = low[v]
@@ -87,26 +93,28 @@ def balanced_orientation(g: Graph) -> list[tuple[int, int]]:
     """Orient every edge so that in-degree equals out-degree at each vertex.
 
     Requires all degrees even; each component with edges is traversed along
-    an Euler circuit (Hierholzer) and oriented in walk order.  Edge i of
-    sorted(g.edges) is marked used by id, and each adjacency row lists its
-    neighbours in increasing order, so the walk is deterministic.
+    an Euler circuit (Hierholzer) and oriented in walk order.  Each adjacency
+    row lists its neighbours in increasing order, so the walk is
+    deterministic.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    ids: list[list[int]] = [[] for _ in range(g.n)]
-    # Sorted edges fill every row in increasing order: first the smaller
-    # neighbours (edges (u, v) ending at v), then the larger ones.
-    for i, (u, v) in enumerate(sorted(g.edges)):
-        adj[u].append(v)
-        ids[u].append(i)
-        adj[v].append(u)
-        ids[v].append(i)
+    return _orient(g.adjacency())[0]
+
+
+def _orient(adj: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """balanced_orientation on sorted adjacency rows: (arcs in walk order,
+    sorted out-neighbours of each vertex).  The walk leaves each vertex in
+    row order, so out-rows fill sorted; an edge walked from v to w is marked
+    used at v's place in w's row, found by bisection.
+    """
     if any(len(row) % 2 for row in adj):
         raise ValueError("balanced orientation needs all degrees even")
-    # Cursor into each row: entries before it are used edges.
-    nxt = [0] * g.n
-    used = bytearray(g.m)
+    n = len(adj)
+    # Cursor into each row: entries before it, and marked ones, are used.
+    nxt = [0] * n
+    used = [bytearray(len(row)) for row in adj]
+    out: list[list[int]] = [[] for _ in range(n)]
     arcs: list[tuple[int, int]] = []
-    for start in range(g.n):
+    for start in range(n):
         if nxt[start] == len(adj[start]):
             continue
         # Hierholzer with an explicit stack.
@@ -114,28 +122,32 @@ def balanced_orientation(g: Graph) -> list[tuple[int, int]]:
         walk = []
         while stack:
             v = stack[-1]
-            row_ids = ids[v]
-            end = len(row_ids)
+            row_used = used[v]
+            end = len(row_used)
             i = nxt[v]
-            while i < end and used[row_ids[i]]:
+            while i < end and row_used[i]:
                 i += 1
             if i < end:
                 nxt[v] = i + 1
-                used[row_ids[i]] = 1
-                stack.append(adj[v][i])
+                w = adj[v][i]
+                used[w][bisect_left(adj[w], v)] = 1
+                out[v].append(w)
+                stack.append(w)
             else:
                 nxt[v] = i
                 walk.append(stack.pop())
         walk.reverse()
         arcs.extend(zip(walk, walk[1:]))
-    if len(arcs) != g.m:
+    if 2 * len(arcs) != sum(map(len, adj)):
         raise InternalInvariantError("Euler orientation missed edges")
-    return arcs
+    return arcs, out
 
 
-def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
-    """Maximum bipartite matching by augmenting paths; returns mate of each
-    left vertex or raises if the matching is not perfect.
+def _bipartite_perfect_matching(adj: list[list[int]], left: Sequence[int]) -> list[int]:
+    """Maximum bipartite matching by augmenting paths of the rows `left` of
+    adj (ids increasing) into the columns 0..len(adj)-1; returns the mate of
+    each row, -1 off `left`, or raises if the matching is not perfect.  No
+    row of `left` may hold a row off it as a column.
 
     The first phase is a greedy pass: each row in turn takes its first free
     column, which is what a Hopcroft-Karp phase does on an empty matching.
@@ -143,6 +155,7 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
     order is by id, so the result is deterministic.  The DFS runs on an
     explicit stack, so augmenting paths may be as long as the graph.
     """
+    n_left = len(adj)
     INF = n_left + 1
     mate_left = [-1] * n_left
     mate_right = [-1] * n_left
@@ -151,7 +164,7 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
 
     def bfs() -> bool:
         dist[:] = [INF] * n_left
-        queue = [u for u in range(n_left) if mate_left[u] == -1]
+        queue = [u for u in left if mate_left[u] == -1]
         for u in queue:
             dist[u] = 0
         found = False
@@ -205,90 +218,36 @@ def _bipartite_perfect_matching(n_left: int, adj: list[list[int]]) -> list[int]:
         return False
 
     matched = 0
-    for u in range(n_left):
+    for u in left:
         for v in adj[u]:
             if mate_right[v] == -1:
                 mate_left[u] = v
                 mate_right[v] = u
                 matched += 1
                 break
-    while matched < n_left and bfs():
-        for u in range(n_left):
+    while matched < len(left) and bfs():
+        for u in left:
             if mate_left[u] == -1 and augment(u):
                 matched += 1
-    if matched != n_left:
+    if matched != len(left):
         raise InternalInvariantError("bipartite graph has no perfect matching")
     return mate_left
-
-
-def _layer_cycles(out: list[list[int]], deg: list[int]) -> list[Cycle]:
-    """Vertex-disjoint directed cycles along the arcs `out` that cover
-    every vertex whose degree in `deg` is maximal.
-
-    The bipartite out/in graph has one edge per arc plus a self-edge for
-    each vertex not of maximum degree; a perfect matching is a successor
-    permutation whose nontrivial orbits are the cycles.  Every row of `out`
-    must be sorted; it is read, never changed.
-    """
-    delta = max(deg)
-    rows = []
-    for v, arcs in enumerate(out):
-        if deg[v] == delta:
-            rows.append(arcs)
-        else:
-            # self-edge: v may stay off the cycles
-            row = arcs.copy()
-            insort(row, v)
-            rows.append(row)
-    mate = _bipartite_perfect_matching(len(out), rows)
-
-    cycles: list[Cycle] = []
-    seen = [False] * len(out)
-    for s in range(len(out)):
-        if seen[s] or mate[s] == s:
-            seen[s] = True
-            continue
-        orbit = [s]
-        seen[s] = True
-        v = mate[s]
-        while v != s:
-            orbit.append(v)
-            seen[v] = True
-            v = mate[v]
-        if len(orbit) < 3:
-            raise InternalInvariantError("orientation produced a 2-cycle")
-        cycles.append(tuple(orbit))
-
-    for v, d in enumerate(deg):
-        if d == delta and mate[v] == v:
-            raise InternalInvariantError(f"maximum-degree vertex {v} left uncovered")
-    return cycles
-
-
-def _out_arcs(g: Graph) -> list[list[int]]:
-    """Sorted out-neighbours of each vertex in a balanced orientation."""
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in balanced_orientation(g):
-        out[u].append(v)
-    for row in out:
-        row.sort()
-    return out
 
 
 def max_degree_cycle_cover(g: Graph) -> list[Cycle]:
     """Vertex-disjoint cycles of g covering every maximum-degree vertex.
 
-    Requires all degrees even and at least one edge.  Builds the bipartite
-    out/in graph of a balanced orientation, adds a self-edge for each vertex
-    that is not of maximum degree, and converts a perfect matching into the
-    orbits of a successor permutation.
+    Requires all degrees even and at least one edge.  This is the first
+    layer of peel_cycle_layers: a perfect matching of the bipartite out/in
+    graph of a balanced orientation, with a self-edge for each vertex that
+    is not of maximum degree, read as a successor permutation.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    deg = g.degrees()
-    if any(d % 2 for d in deg):
+    adj = g.adjacency()
+    if any(len(row) % 2 for row in adj):
         raise ValueError("cycle extraction needs all degrees even")
-    return _layer_cycles(_out_arcs(g), deg)
+    return next(_peel_layers(adj))
 
 
 def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
@@ -298,26 +257,69 @@ def peel_cycle_layers(g: Graph) -> list[list[Cycle]]:
     maximum degree drops by exactly two per layer and the layer count is
     exactly delta(g)/2.  One balanced orientation serves every layer: a
     layer's cycles are directed cycles of it, so deleting their arcs keeps
-    in-degree equal to out-degree.
+    in-degree equal to out-degree.  The work is _peel_layers on g's rows.
     """
-    deg = g.degrees()
-    if any(d % 2 for d in deg):
+    adj = g.adjacency()
+    if any(len(row) % 2 for row in adj):
         raise ValueError("layer peeling needs all degrees even")
+    return list(_peel_layers(adj))
+
+
+def _peel_layers(adj: list[list[int]]) -> Iterator[list[Cycle]]:
+    """The cycle layers of peel_cycle_layers, one at a time, from the sorted
+    rows of an even-degree graph (read, never changed).
+
+    A layer is the nontrivial orbits of a perfect matching whose row v holds
+    v's out-arcs, plus v itself while deg(v) is below the current maximum
+    (a self-edge: v may stay off the cycles).  The rows are built once and
+    kept from layer to layer.  After each layer its arcs leave the rows, a
+    vertex off its cycles whose degree equals the new maximum loses its
+    self-edge (a vertex on them drops with the maximum, so only these can
+    newly reach it), and a vertex left without arcs leaves `active`.  The
+    matching runs over `active` only: an isolated vertex's one column is
+    itself, and no other row holds it.
+    """
+    deg = list(map(len, adj))
     delta = max(deg, default=0)
-    # list.remove keeps each row of out sorted for the next layer.
-    out = _out_arcs(g)
-    left = g.m
-    layers: list[list[Cycle]] = []
-    while left:
-        layer = _layer_cycles(out, deg)
-        layers.append(layer)
-        for cyc in layer:
-            for i, u in enumerate(cyc):
-                out[u].remove(cyc[i + 1 - len(cyc)])
-                deg[u] -= 2
-            left -= len(cyc)
-    if len(layers) != delta // 2:
-        raise InternalInvariantError(
-            f"expected {delta // 2} layers, produced {len(layers)}"
-        )
-    return layers
+    expected = delta // 2
+    _, rows = _orient(adj)
+    active = [v for v, d in enumerate(deg) if d]
+    for v in active:
+        if deg[v] < delta:
+            insort(rows[v], v)
+    produced = 0
+    while active:
+        mate = _bipartite_perfect_matching(rows, active)
+        seen = bytearray(len(adj))
+        layer: list[Cycle] = []
+        still: list[int] = []
+        for v in active:
+            w = mate[v]
+            if w == v:
+                if deg[v] == delta:
+                    raise InternalInvariantError(f"maximum-degree vertex {v} left uncovered")
+                if deg[v] == delta - 2:
+                    rows[v].remove(v)
+                still.append(v)
+                continue
+            rows[v].remove(w)
+            deg[v] -= 2
+            if deg[v]:
+                still.append(v)
+            if not seen[v]:
+                # v is the smallest vertex of its orbit
+                orbit = [v]
+                seen[v] = 1
+                while w != v:
+                    orbit.append(w)
+                    seen[w] = 1
+                    w = mate[w]
+                if len(orbit) < 3:
+                    raise InternalInvariantError("orientation produced a 2-cycle")
+                layer.append(tuple(orbit))
+        active = still
+        delta -= 2
+        produced += 1
+        yield layer
+    if produced != expected:
+        raise InternalInvariantError(f"expected {expected} layers, produced {produced}")

@@ -8,10 +8,15 @@ layer while integrating up to two matching edges alongside each layer.  A
 first, simpler pipeline gives the additive delta + v_odd/2 bound; variants
 produce cycle odd-covers (at most delta cycles) and isolated-vertex covers
 driven by linear-forest decompositions.
+
+Each pipeline builds one residual, the sorted adjacency rows of its input,
+and every step (odd-path peeling, the odd matching, the XOR with M, the
+orientation and the layer loop) reads and edits those rows in place.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from typing import Sequence
 
@@ -27,7 +32,7 @@ from .core import (
     norm_edge,
     path_edges,
 )
-from .cycles import odd_matching, peel_cycle_layers
+from .cycles import _odd_matching, _peel_layers, peel_cycle_layers
 from .oracle import MAX_FOREST_N, exact_linear_arboricity
 from .systems import iso_cover_from_forests
 from .twopaths import (
@@ -89,25 +94,29 @@ def peel_odd_path(g: Graph) -> tuple[tuple[int, ...], Graph]:
 
 def peel_odd_paths(g: Graph, p: int) -> tuple[list[tuple[int, ...]], Graph]:
     """Remove p edge-disjoint paths, each joining two odd-degree vertices;
-    v_odd drops by 2p.
+    v_odd drops by 2p.  Returns the paths and what is left of g."""
+    adj = g.adjacency()
+    paths = _peel_odd_paths(adj, p)
+    return paths, Graph(g.n, _edges(adj))
+
+
+def _peel_odd_paths(adj: list[list[int]], p: int) -> list[tuple[int, ...]]:
+    """peel_odd_paths on sorted adjacency rows, which lose the paths' edges.
 
     The paths split the T-join of the odd vertices T in a breadth-first
     spanning forest: the edge from v to its parent is in the join exactly
     when v's subtree holds an odd number of odd vertices.  Bottom-up, each
     vertex pairs the open paths arriving from its children (plus itself
     when odd) and passes at most one on to its parent, so every odd vertex
-    ends exactly one path.  The first p paths closed are removed with one
-    rebuild.
+    ends exactly one path.  The first p paths closed are taken.
     """
-    _, v_odd, odd = degree_profile(g)
+    is_odd = [len(row) % 2 for row in adj]
+    v_odd = sum(is_odd)
     if not 0 <= p <= v_odd // 2:
         raise ValueError(f"can peel 0 to {v_odd // 2} odd paths, asked for {p}")
-    order, parent = _bfs(g.adjacency(), range(g.n))
-    is_odd = [False] * g.n
-    for v in odd:
-        is_odd[v] = True
+    order, parent = _bfs(adj, range(len(adj)))
     # open_at[v]: paths running from an odd vertex up to v, still open
-    open_at: list[list[list[int]]] = [[] for _ in range(g.n)]
+    open_at: list[list[list[int]]] = [[] for _ in adj]
     paths: list[tuple[int, ...]] = []
     for v in reversed(order):
         stubs = open_at[v]
@@ -126,7 +135,36 @@ def peel_odd_paths(g: Graph, p: int) -> tuple[list[tuple[int, ...]], Graph]:
                 raise InternalInvariantError("component with an odd number of odd vertices")
             open_at[parent[v]].append(stubs[0])
     taken = paths[:p]
-    return taken, g.remove_edges(e for path in taken for e in path_edges(path))
+    # one pass over each touched row, however many of its edges go
+    cut: dict[int, set[int]] = {}
+    for path in taken:
+        for a, b in zip(path, path[1:]):
+            cut.setdefault(a, set()).add(b)
+            cut.setdefault(b, set()).add(a)
+    for v, gone in cut.items():
+        adj[v] = [w for w in adj[v] if w not in gone]
+    return taken
+
+
+def _edges(adj: list[list[int]]) -> list[Edge]:
+    return [(u, v) for u, row in enumerate(adj) for v in row if u < v]
+
+
+def _profile(adj: list[list[int]]) -> tuple[int, int]:
+    """(maximum degree, number of odd-degree vertices) of adjacency rows."""
+    deg = list(map(len, adj))
+    return max(deg, default=0), sum(d % 2 for d in deg)
+
+
+def _xor_rows(adj: list[list[int]], pairs: Sequence[Edge]) -> None:
+    """XOR the edges `pairs` into sorted adjacency rows, keeping them sorted."""
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            row = adj[a]
+            if b in row:
+                row.remove(b)
+            else:
+                insort(row, b)
 
 
 def cover_first_bound(g: Graph) -> OddCover:
@@ -135,9 +173,10 @@ def cover_first_bound(g: Graph) -> OddCover:
     Peels v_odd/2 odd-joining paths in one pass, leaving an even-degree
     remainder, then spends two paths per cycle layer.
     """
-    delta0, v_odd0, _ = degree_profile(g)
-    members, cur = peel_odd_paths(g, v_odd0 // 2)
-    members += _spend_layers(peel_cycle_layers(cur), [])
+    adj = g.adjacency()
+    delta0, v_odd0 = _profile(adj)
+    members = _peel_odd_paths(adj, v_odd0 // 2)
+    members += _spend_layers(list(_peel_layers(adj)), [])
     cover = OddCover(g, members, "path")
     return certified(cover, cover.count <= delta0 + v_odd0 // 2, "additive-bound cover")
 
@@ -214,29 +253,29 @@ def cover_eulerian_plus_matching(
 
 def path_odd_cover(g: Graph) -> OddCover:
     """Odd-cover with at most max{v_odd/2, 2*ceil(delta/2)} paths."""
+    adj = g.adjacency()
     members: list[tuple[int, ...]] = []
-    cur = g
-    delta, v_odd, _ = degree_profile(cur)
+    delta, v_odd = _profile(adj)
     delta_e = 2 * -(-delta // 2)
     bound = max(v_odd // 2, delta_e)
     # Removing edges never raises delta, so after peeling down to
     # v_odd/2 = delta_e the rest costs at most delta_e; a batch that lowers
     # delta leaves more to peel.
     while v_odd // 2 > delta_e:
-        paths, cur = peel_odd_paths(cur, v_odd // 2 - delta_e)
-        members += paths
-        delta, v_odd, _ = degree_profile(cur)
+        members += _peel_odd_paths(adj, v_odd // 2 - delta_e)
+        delta, v_odd = _profile(adj)
         delta_e = 2 * -(-delta // 2)
 
     if v_odd == 4 and delta <= 2:
         # exactly two loose paths; closing is order-sensitive, so keep them
         # in the order of their smallest vertex
-        loose, cycles = degree2_components(cur.n, cur.edges)
+        loose, cycles = degree2_components(g.n, _edges(adj))
         tp = _close_loose(_Layer.canonical(cycles), sorted(loose, key=min))
         members += [tp.p, tp.q]
-    elif cur.m:
-        m = sorted(odd_matching(cur))
-        members += _spend_layers(peel_cycle_layers(cur.xor(m)), m)
+    elif delta:
+        m = sorted(_odd_matching(adj))
+        _xor_rows(adj, m)
+        members += _spend_layers(list(_peel_layers(adj)), m)
 
     cover = OddCover(g, members, "path")
     return certified(cover, cover.count <= bound, "degree-bound cover")
@@ -263,30 +302,30 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
             raise InternalInvariantError("direct or two-path case exceeded v_odd/2")
         return cover, "two-paths" if v_odd == 4 and delta <= 2 else "direct"
 
-    m = sorted(odd_matching(g))
-    layers = peel_cycle_layers(g.xor(m))
+    adj = g.adjacency()
+    m = sorted(_odd_matching(adj))
+    _xor_rows(adj, m)
+    layers = list(_peel_layers(adj))
     head, tail = layers[:t], layers[t:]
     members = _spend_layers(head, m)
 
-    branch = "layer-pairs"
-    n_total = g.n
-    if tail:
+    branch = "layer-pairs" if tail else "no-residual"
+    target = g
+    if tail and g.n <= MAX_FOREST_N:
         residual = Graph(g.n, [e for layer in tail for c in layer for e in cycle_edges(c)])
         # every maximum-degree vertex of g XOR M lies on every layer, so the
         # residual's maximum degree is 2 * len(tail) <= d; its linear
         # arboricity is at most len(tail) + 1 for n <= MAX_FOREST_N
-        la = exact_linear_arboricity(residual) if g.n <= MAX_FOREST_N else None
+        la = exact_linear_arboricity(residual)
         if la is not None and la[0] <= d:
             isoc = iso_cover_from_forests(residual, la[1])
             members += list(isoc.members)
-            n_total = isoc.target.n
+            target = Graph(isoc.target.n, g.edges)
             branch = "linear-arboricity"
-        else:
-            members += _spend_layers(tail, [])
-    else:
-        branch = "no-residual"
+    if branch == "layer-pairs":
+        members += _spend_layers(tail, [])
 
-    cover = OddCover(Graph(n_total, g.edges), members, "path")
+    cover = OddCover(target, members, "path")
     return certified(cover, cover.count <= 2 * t + d, "isolated-vertex cover"), branch
 
 
@@ -297,11 +336,12 @@ def cycle_odd_cover(g: Graph) -> OddCover:
     both with the same endpoint edge turns them into two cycles whose XOR is
     the layer.  A layer that is a single cycle is emitted as itself.
     """
-    delta, v_odd, _ = degree_profile(g)
+    adj = g.adjacency()
+    delta, v_odd = _profile(adj)
     if v_odd:
         raise ValueError("cycle odd-covers need all degrees even")
     members: list[tuple[int, ...]] = []
-    for layer in peel_cycle_layers(g):
+    for layer in _peel_layers(adj):
         if len(layer) == 1:
             members.append(layer[0])
         else:

@@ -247,6 +247,45 @@ def reference_odd_matching(g):
     return frozenset(pairs)
 
 
+def reference_peel_cycle_layers(g):
+    """The layer loop that `cycles.peel_cycle_layers` must agree with: one
+    balanced orientation, then for every layer a fresh copy of all n
+    out-rows, with a self-edge at each vertex below the maximum degree, a
+    perfect matching over all of them, and its nontrivial orbits."""
+    from oddcover.cycles import _bipartite_perfect_matching, balanced_orientation
+
+    deg = g.degrees()
+    out = [[] for _ in range(g.n)]
+    for u, v in balanced_orientation(g):
+        out[u].append(v)
+    for row in out:
+        row.sort()
+    layers = []
+    left = g.m
+    while left:
+        delta = max(deg)
+        rows = [row if deg[v] == delta else sorted(row + [v]) for v, row in enumerate(out)]
+        mate = _bipartite_perfect_matching(rows, range(g.n))
+        seen = [False] * g.n
+        layer = []
+        for s in range(g.n):
+            if seen[s] or mate[s] == s:
+                continue
+            orbit = [s]
+            seen[s] = True
+            while mate[orbit[-1]] != s:
+                orbit.append(mate[orbit[-1]])
+                seen[orbit[-1]] = True
+            layer.append(tuple(orbit))
+        layers.append(layer)
+        for cyc in layer:
+            for i, u in enumerate(cyc):
+                out[u].remove(cyc[i + 1 - len(cyc)])
+                deg[u] -= 2
+            left -= len(cyc)
+    return layers
+
+
 def reference_linear_forests(g, k):
     """The union-find search that `oracle.exact_linear_forests` must agree
     with: the same edge order, class order and pruning, with acyclicity

@@ -15,9 +15,11 @@ from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 
 from support import (
+    complete,
     hamiltonian_union,
     random_graph,
     reference_odd_matching,
+    reference_peel_cycle_layers,
     rng_for,
     run_with_deadline,
     star,
@@ -234,6 +236,50 @@ def test_peel_outputs_are_pinned():
     )
 
 
+def reaches_the_maximum_mid_peel(g, layers):
+    """Some vertex off a layer's cycles has the new maximum degree after it."""
+    deg = g.degrees()
+    delta = max(deg)
+    for layer in layers[:-1]:
+        on = {v for c in layer for v in c}
+        for v in on:
+            deg[v] -= 2
+        delta -= 2
+        if any(deg[v] == delta for v in range(g.n) if v not in on):
+            return True
+    return False
+
+
+def test_layer_loop_matches_the_reference():
+    # The loop keeps its matching rows between layers and matches only the
+    # vertices that still carry arcs; the reference rebuilds all n rows per
+    # layer.  Their layers must be equal.
+    rng = rng_for("layer-loop")
+    graphs = [
+        eulerian_random(rng.randrange(3, 60), seed=s, rounds=rng.choice([None, 2]))
+        for s in range(120)
+    ]
+    odd = [random_graph(rng.randrange(2, 40), rng.random(), rng) for _ in range(150)]
+    odd += [star(k) for k in range(1, 16)] + [windmill(t) for t in range(1, 10)]
+    graphs += [g.xor(odd_matching(g)) for g in odd]
+    # few edges in a large universe: most vertices are isolated throughout
+    for s in range(20):
+        h = eulerian_random(12, seed=s)
+        graphs.append(Graph(300, [(5 * u + 2, 5 * v + 2) for u, v in h.edges]))
+    # a windmill's hub sets the maximum; the K5 reaches it after some layers
+    k5 = complete(5).edges
+    for t in (3, 4, 5):
+        w = windmill(t)
+        graphs.append(Graph(w.n + 5, w.edges | {(u + w.n, v + w.n) for u, v in k5}))
+    mid = 0
+    for g in graphs:
+        layers = peel_cycle_layers(g)
+        assert layers == reference_peel_cycle_layers(g)
+        mid += g.m > 0 and reaches_the_maximum_mid_peel(g, layers)
+    assert reaches_the_maximum_mid_peel(graphs[-1], peel_cycle_layers(graphs[-1]))
+    assert mid >= 100
+
+
 def test_bipartite_matching_mates_match_reference():
     # The DFS runs on an explicit stack with the recursive scan order, so
     # the mates recorded from the recursive version are reproduced.
@@ -247,19 +293,19 @@ def test_bipartite_matching_mates_match_reference():
             sorted({perm[u]} | {v for v in range(n) if rng.random() < 0.1})
             for u in range(n)
         ]
-        mates.append(_bipartite_perfect_matching(n, adj))
+        mates.append(_bipartite_perfect_matching(adj, range(n)))
     assert digest(mates) == "a9654fa7af810f5f"
 
 
 def test_bipartite_matching_boundaries():
-    assert _bipartite_perfect_matching(0, []) == []
+    assert _bipartite_perfect_matching([], range(0)) == []
     # Row 1 has no column at all, so no phase can match it.
     with pytest.raises(InternalInvariantError):
-        _bipartite_perfect_matching(3, [[0], [], [1, 2]])
+        _bipartite_perfect_matching([[0], [], [1, 2]], range(3))
     with pytest.raises(InternalInvariantError):
-        _bipartite_perfect_matching(2, [[], []])
+        _bipartite_perfect_matching([[], []], range(2))
     # Each row's first free column already gives a perfect matching.
-    assert _bipartite_perfect_matching(3, [[1, 2], [0, 1], [0, 2]]) == [1, 0, 2]
+    assert _bipartite_perfect_matching([[1, 2], [0, 1], [0, 2]], range(3)) == [1, 0, 2]
 
 
 def test_bipartite_matching_long_augmenting_path():
@@ -267,7 +313,7 @@ def test_bipartite_matching_long_augmenting_path():
     # last row unmatched, so one augmenting path runs through every row.
     n = 5000
     adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
-    mate = _bipartite_perfect_matching(n, adj)
+    mate = _bipartite_perfect_matching(adj, range(n))
     assert mate == [u + 1 for u in range(n - 1)] + [0]
 
 
@@ -276,12 +322,12 @@ def test_peel_cycle_layers_orients_once(monkeypatch):
 
     orient_calls = []
     graphs_built = []
-    real_orient = cycles.balanced_orientation
+    real_orient = cycles._orient
     real_init = Graph.__init__
 
-    def counting_orient(g):
-        orient_calls.append(g)
-        return real_orient(g)
+    def counting_orient(adj):
+        orient_calls.append([row.copy() for row in adj])
+        return real_orient(adj)
 
     def counting_init(self, *args, **kwargs):
         graphs_built.append(1)
@@ -290,7 +336,7 @@ def test_peel_cycle_layers_orients_once(monkeypatch):
     inputs = [eulerian_random(n, seed=3) for n in (8, 20, 40, 80)]
     deltas = [degree_profile(g)[0] for g in inputs]
     assert deltas == sorted(deltas) and deltas[-1] >= 5 * deltas[0]
-    monkeypatch.setattr(cycles, "balanced_orientation", counting_orient)
+    monkeypatch.setattr(cycles, "_orient", counting_orient)
     monkeypatch.setattr(Graph, "__init__", counting_init)
     built = []
     for g in inputs:
@@ -298,6 +344,6 @@ def test_peel_cycle_layers_orients_once(monkeypatch):
         graphs_built.clear()
         layers = peel_cycle_layers(g)
         assert len(layers) == degree_profile(g)[0] // 2
-        assert orient_calls == [g]
+        assert orient_calls == [g.adjacency()]
         built.append(len(graphs_built))
     assert len(set(built)) == 1

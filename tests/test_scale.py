@@ -79,3 +79,21 @@ def test_spend_layers_takes_a_large_matching_in_linear_time():
     # so the deadline fails it.
     run = run_with_deadline(_SPEND_MATCHING, 30)
     assert run.returncode == 0, run.stderr
+
+
+_SPARSE_PATH_COVER = """
+from oddcover.core import degree_bound, verify_cover
+from oddcover.solver import path_odd_cover
+from support import gnm
+g = gnm(10 ** 5, 15 * 10 ** 4, 1)
+cover = path_odd_cover(g)
+assert verify_cover(cover).valid and cover.count <= degree_bound(g)
+"""
+
+
+def test_path_odd_cover_sparse_100000():
+    # The reference row for the sparse pipeline: peel batches, the XOR with
+    # M and every layer edit the one residual in place, and an edit that
+    # rescanned the residual per path or per cycle would miss the deadline.
+    run = run_with_deadline(_SPARSE_PATH_COVER, 90)
+    assert run.returncode == 0, run.stderr

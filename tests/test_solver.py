@@ -32,7 +32,7 @@ from oddcover.solver import (
 )
 from oddcover.systems import iso_cover_from_forests
 
-from support import hamiltonian_union, rng_for, run_with_deadline
+from support import gnm, hamiltonian_union, rng_for, run_with_deadline
 
 
 def K(n):
@@ -138,13 +138,13 @@ def test_path_odd_cover_rebatches_when_delta_drops(monkeypatch):
     # gnp(30, 0.05, seed=20): v_odd/2 = 7, delta = 5; the first batch of
     # one path lowers delta to 4, so a second batch of two follows.
     batches = []
-    real = solver.peel_odd_paths
+    real = solver._peel_odd_paths
 
-    def spy(g, p):
-        batches.append((degree_profile(g)[0], p))
-        return real(g, p)
+    def spy(adj, p):
+        batches.append((max(map(len, adj)), p))
+        return real(adj, p)
 
-    monkeypatch.setattr(solver, "peel_odd_paths", spy)
+    monkeypatch.setattr(solver, "_peel_odd_paths", spy)
     g = gnp(30, 1.5 / 30, seed=20)
     _, v_odd, _ = degree_profile(g)
     cover = path_odd_cover(g)
@@ -374,13 +374,13 @@ def test_iso_cover_general_peels_once(monkeypatch, n, branch, m2):
     # the first t layers of g XOR M absorb the matching as they are; the
     # residual is the remaining layers, so nothing is peeled a second time
     calls = []
-    real = solver.peel_cycle_layers
+    real = solver._peel_layers
 
-    def spy(g):
-        calls.append(g.m)
-        return real(g)
+    def spy(adj):
+        calls.append(sum(map(len, adj)) // 2)
+        return real(adj)
 
-    monkeypatch.setattr(solver, "peel_cycle_layers", spy)
+    monkeypatch.setattr(solver, "_peel_layers", spy)
     cover, got = iso_cover_general(K(n))
     assert verify_cover(cover).valid and calls == [m2]
     assert got == branch
@@ -450,3 +450,67 @@ def test_dense_iso_covers_return_promptly():
         timeout=60,
     )
     assert cli.returncode == 0, cli.stderr
+
+
+# gnm(n, 1.5 n, seed) inputs whose path_odd_cover peels in three batches
+THREE_BATCHES = [(100, 37), (350, 27), (400, 12), (600, 4)]
+
+
+def sparse_corpus():
+    """gnm(n, 1.5 n) for n = 50...900, four seeds each (39 of them peel in
+    two batches), plus the three-batch inputs."""
+    pairs = [(n, seed) for n in range(50, 901, 50) for seed in range(4)]
+    return [gnm(n, 3 * n // 2, seed) for n, seed in pairs + THREE_BATCHES]
+
+
+def test_sparse_pipelines_are_pinned():
+    # Recorded before the pipelines shared one residual.  Every iso cover of
+    # the sparse corpus goes to path_odd_cover; the G(n, 0.3) ones have
+    # n > 10 and cover their residual with layer pairs.
+    out = []
+    branches = set()
+
+    def iso(g):
+        cover, branch = iso_cover_general(g)
+        out.append((cover.members, cover.target.n, branch))
+        return branch
+
+    for g in sparse_corpus():
+        out.append((path_odd_cover(g).members, cover_first_bound(g).members))
+        iso(g)
+    for n in range(11, 90, 6):
+        branches.add(iso(gnp(n, 0.3, seed=n)))
+    for n in range(6, 200, 7):
+        out.append(cycle_odd_cover(eulerian_random(n, seed=n)).members)
+    assert branches == {"layer-pairs"}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "bf7a75d9454047ffe088b5488b77af5ceb4c9ba4b8fa301f7c2006796600e2b9"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, seed, batches", [(50, 0, 1), (100, 1, 2)] + [(n, s, 3) for n, s in THREE_BATCHES]
+)
+def test_pipelines_build_no_graph(monkeypatch, n, seed, batches):
+    # one residual per call: the rows of g are peeled, XORed with M and cut
+    # into layers in place, so no step builds a Graph
+    g = gnm(n, 3 * n // 2, seed)
+    e = eulerian_random(n, seed=seed)
+    peeled, built = [], []
+    real_peel, real_init = solver._peel_odd_paths, Graph.__init__
+
+    def spy(adj, p):
+        peeled.append(p)
+        return real_peel(adj, p)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_peel_odd_paths", spy)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    covers = [path_odd_cover(g)]
+    assert len(peeled) == batches
+    covers += [cover_first_bound(g), cycle_odd_cover(e)]
+    assert built == []
+    assert all(verify_cover(c).valid for c in covers)
