@@ -24,6 +24,7 @@ from .core import (
     Graph,
     InternalInvariantError,
     degree_bound,
+    degree_bounds,
     degree_profile,
     lower_bound,
     max_subgraph_density,
@@ -58,8 +59,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return parse_edge_list(text)
 
 
-def _bounds(g: Graph, upper: int, method: str) -> dict:
-    lower = lower_bound(g)
+def _bounds(g: Graph, lower: int, upper: int, method: str) -> dict:
+    """The witness's bounds object; for small n the density raises `lower`."""
     if g.n <= MAX_DENSITY_N:
         lower = max(lower, max_subgraph_density(g))
     return {
@@ -80,7 +81,7 @@ def _emit_cover(args, cover, bounds, extra=None) -> int:
 def _cmd_cover(args) -> int:
     g = _load_graph(args)
     cover = path_odd_cover(g)
-    return _emit_cover(args, cover, _bounds(g, degree_bound(g), "degree-pipeline"))
+    return _emit_cover(args, cover, _bounds(g, *degree_bounds(g), "degree-pipeline"))
 
 
 def _cmd_cycle_cover(args) -> int:
@@ -107,7 +108,8 @@ def _cmd_iso_cover(args) -> int:
     g = _load_graph(args)
     cover, branch = iso_cover_general(g)
     extra = {"added_vertices": cover.target.n - g.n}
-    return _emit_cover(args, cover, _bounds(g, cover.count, f"iso/{branch}"), extra)
+    bounds = _bounds(g, lower_bound(g), cover.count, f"iso/{branch}")
+    return _emit_cover(args, cover, bounds, extra)
 
 
 def _cmd_exact(args) -> int:
@@ -119,7 +121,7 @@ def _cmd_exact(args) -> int:
         _write_text(args.output, json.dumps(doc, indent=2) + "\n")
         return 0
     k, cover = res
-    bounds = _bounds(g, k, "exhaustive")
+    bounds = _bounds(g, lower_bound(g), k, "exhaustive")
     return _emit_cover(args, cover, bounds, extra={"k": k})
 
 

@@ -300,12 +300,17 @@ def lower_bound(g: Graph) -> int:
     n <= MAX_DENSITY_N, callers raise it to max_subgraph_density(g), the
     Nash-Williams arboricity bound.
     """
-    delta, v_odd, _ = degree_profile(g)
-    return max(v_odd // 2, -(-delta // 2))
+    return degree_bounds(g)[0]
 
 
 def degree_bound(g: Graph) -> int:
     """max{v_odd/2, 2*ceil(delta/2)}: the path count the degree pipeline
     (path_odd_cover) never exceeds."""
+    return degree_bounds(g)[1]
+
+
+def degree_bounds(g: Graph) -> tuple[int, int]:
+    """(lower_bound(g), degree_bound(g)) from one degree pass."""
     delta, v_odd, _ = degree_profile(g)
-    return max(v_odd // 2, 2 * -(-delta // 2))
+    half = -(-delta // 2)
+    return max(v_odd // 2, half), max(v_odd // 2, 2 * half)

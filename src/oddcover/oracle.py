@@ -194,8 +194,9 @@ def _engine(n: int, kind: str) -> _XorSearch:
 def _solve(g: Graph, kind: str, max_k: int | None) -> tuple[int, OddCover] | None:
     if g.n > MAX_ORACLE_N:
         raise ValueError(f"exact search capped at n <= {MAX_ORACLE_N}, got {g.n}")
-    if g.n < 2:
-        return (0, OddCover(g, [], kind)) if g.m == 0 else None
+    if g.n < 2:  # no pairs, so no edges
+        cover = OddCover(g, [], kind)
+        return 0, certified(cover, cover.count == 0, "oracle witness")
     budget = max_k if max_k is not None else max(1, g.m)
     eng = _engine(g.n, kind)
     res = eng.solve(_mask(g.n, g.edges), budget)

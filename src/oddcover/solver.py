@@ -29,7 +29,6 @@ from .core import (
     cycle_edges,
     degree2_components,
     degree_profile,
-    norm_edge,
     path_edges,
 )
 from .cycles import _odd_matching, _peel_layers, peel_cycle_layers
@@ -38,6 +37,7 @@ from .systems import iso_cover_from_forests
 from .twopaths import (
     Cycle,
     _close_loose,
+    _disjoint_edges,
     _Layer,
     choose_integrable_pair,
     cover_cycles,
@@ -239,12 +239,7 @@ def cover_eulerian_plus_matching(
     with at most 2*max(t, delta/2) paths (t as in _spend_layers)."""
     if not g_prime.is_even():
         raise ValueError("matching integration needs all degrees even")
-    m = sorted(norm_edge(u, v) for u, v in matching)
-    seen: set[int] = set()
-    for e in m:
-        if seen & set(e):
-            raise ValueError("matching edges share a vertex")
-        seen |= set(e)
+    m = sorted(_disjoint_edges(matching))
     layers = peel_cycle_layers(g_prime)
     cover = OddCover(g_prime.xor(matching), _spend_layers(layers, m), "path")
     rounds = max(_integration_rounds(len(m)), len(layers))

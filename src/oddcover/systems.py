@@ -26,6 +26,10 @@ copy of the paths they build: well-distributedness is read off counters the
 index keeps, and each move's XOR check looks only at the seams where it
 joins old paths to new edges.  The whole system is validated and its XOR
 compared once on entry and once on exit.
+
+The subdivision covers track no chains while they reduce: one shared exit
+reads the subdivision H (the XOR of the members) and each edge's chain off
+the certified cover.
 """
 
 from __future__ import annotations
@@ -632,58 +636,43 @@ def is_exceptional_family(g: Graph) -> bool:
     return len(cycles) >= 1 and len(paths) <= 1
 
 
-def _subdivide3(g: Graph) -> tuple[dict[Edge, list[int]], dict[int, Edge], int]:
-    """3-subdivide g: each edge's chain, the home edge of each new vertex,
-    and the next free vertex."""
-    chains: dict[Edge, list[int]] = {}
-    home: dict[int, Edge] = {}
-    nxt = g.n
-    for u, v in sorted(g.edges):
-        chains[(u, v)] = [u, nxt, nxt + 1, v]
-        home[nxt] = home[nxt + 1] = (u, v)
-        nxt += 2
-    return chains, home, nxt
+def _seed_collections(g: Graph, k: int) -> list[list[Path]]:
+    """k-color the 3-subdivision of g so the color classes form a
+    well-distributed path k-system; returns each class's paths, and raises
+    ValueError if a class is no linear forest.
 
-
-def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dict[Edge, int]:
-    """k-color the 3-subdivision so color classes form a well-distributed
-    path k-system.
-
-    At every original vertex of even degree the incident stubs are paired
-    per color; the j-th odd vertex gets one stub of color j mod k and pairs
-    for the rest.  Every middle edge takes a color distinct from its first
-    stub (and from both stubs when k >= 3), so classes decompose into paths
-    of length at most two and monochromatic cycles are impossible.  Each
-    pick is the r-th colour of range(k) minus one or two colours, found by
-    index arithmetic in O(1).
+    Sorted edge i = (u, v) becomes the chain u, g.n + 2i, g.n + 2i + 1, v,
+    and each stub and middle edge goes straight into its class.  At every
+    original vertex of even degree the incident stubs are paired per color;
+    the j-th odd vertex gets one stub of color j mod k and pairs for the
+    rest.  Every middle edge takes a color distinct from its first stub (and
+    from both stubs when k >= 3), so classes decompose into paths of length
+    at most two and monochromatic cycles are impossible.  Each pick is the
+    r-th colour of range(k) minus one or two colours, found by index
+    arithmetic in O(1).
     """
-    _, _, odd = degree_profile(g)
-    odd_rank = {v: r for r, v in enumerate(odd)}
-    adj = g.adjacency()
-    color: dict[Edge, int] = {}
-    for v in range(g.n):
-        stubs = []
-        for w in adj[v]:  # ascending neighbours: incident edges in sorted order
-            ch = chains[norm_edge(v, w)]
-            stub = norm_edge(ch[0], ch[1]) if ch[0] == v else norm_edge(ch[2], ch[3])
-            stubs.append(stub)
-        if len(stubs) % 2 == 1:
-            s = odd_rank[v] % k
-            color[stubs[0]] = s
-            rest = stubs[1:]
-            for t in range(len(rest) // 2):
-                c = t if t < s else t + 1  # the t-th colour other than s
-                color[rest[2 * t]] = c
-                color[rest[2 * t + 1]] = c
-        else:
-            for t in range(len(stubs) // 2):
-                color[stubs[2 * t]] = t
-                color[stubs[2 * t + 1]] = t
+    n, edges = g.n, sorted(g.edges)
+    # sorted edge order lists each vertex's stubs by ascending neighbour
+    stubs: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        stubs[u].append(n + 2 * i)
+        stubs[v].append(n + 2 * i + 1)
+    classes: list[list[Edge]] = [[] for _ in range(k)]
+    stub_color = [0] * (2 * len(edges))  # of the stub ending at new vertex n + j
+    odd = 0
+    for v, ends in enumerate(stubs):
+        lone, s = len(ends) % 2, k  # s: the lone stub's colour, which pairs skip
+        if lone:
+            s = odd % k
+            odd += 1
+        for t, x in enumerate(ends):
+            c = (t - lone) // 2  # the pair x is in, -1 for the lone stub
+            c = s if c < 0 else c + (c >= s)  # the c-th colour other than s
+            stub_color[x - n] = c
+            classes[c].append((v, x))
     spread = 0
-    for e in sorted(g.edges):
-        ch = chains[e]
-        cu = color[norm_edge(ch[0], ch[1])]
-        cv = color[norm_edge(ch[2], ch[3])]
+    for i in range(len(edges)):
+        cu, cv = stub_color[2 * i], stub_color[2 * i + 1]
         lo, hi = min(cu, cv), max(cu, cv)
         free = k - 1 - (lo != hi)  # colours other than cu and cv
         if free:
@@ -695,74 +684,54 @@ def _color_tripled_edges(g: Graph, chains: dict[Edge, list[int]], k: int) -> dic
                     cm += 1
         else:
             cm = 1 if cu == 0 else 0
-        color[norm_edge(ch[1], ch[2])] = cm
-    return color
+        classes[cm].append((n + 2 * i, n + 2 * i + 1))
+    return [linear_forest_components(n + 2 * len(edges), c) for c in classes]
 
 
-def _classes_to_collections(
-    color: dict[Edge, int], k: int, n_total: int
-) -> list[list[Path]]:
-    classes: list[list[Edge]] = [[] for _ in range(k)]
-    for e, c in color.items():
-        classes[c].append(e)
-    collections: list[list[Path]] = []
-    for c, edges in enumerate(classes):
-        try:
-            paths = linear_forest_components(n_total, edges)
-        except ValueError as exc:
-            raise InternalInvariantError(f"color class {c}: {exc}") from exc
-        if not paths:
-            raise InternalInvariantError(f"color class {c} is empty")
-        collections.append(paths)
-    return collections
-
-
-def _reduced_topological_paths(
-    g: Graph,
-) -> tuple[list[Path], dict[Edge, list[int]], dict[int, Edge], int]:
-    """k reduced paths over a subdivision of g, with its chains and the home
-    edge of every new vertex."""
-    k = lower_bound(g)
-    chains, home, n_total = _subdivide3(g)
-    color = _color_tripled_edges(g, chains, k)
-    collections = _classes_to_collections(color, k, n_total)
+def _reduced_topological_paths(g: Graph, k: int) -> tuple[list[Path], int]:
+    """k reduced paths over a subdivision of g, and its vertex count."""
     try:
-        sys, events = reduce_system(PathSystem(collections, n_total))
-    except ValueError as exc:  # only the entry check raises ValueError
+        sys, _ = reduce_system(PathSystem(_seed_collections(g, k), g.n + 2 * g.m))
+    except ValueError as exc:  # a class is no linear forest, or the entry check failed
         raise InternalInvariantError("subdivision coloring is not well-distributed") from exc
-    for z, u, z_new in events:
-        _apply_subdivision(chains, home, z, u, z_new)
-    paths = [coll[0] for coll in sys.collections]
-    return paths, chains, home, sys.next_vertex
+    return [coll[0] for coll in sys.collections], sys.next_vertex
 
 
-def _apply_subdivision(
-    chains: dict[Edge, list[int]],
-    home: dict[int, Edge],
-    z: int,
-    u: int,
-    z_new: int,
-) -> None:
-    """Subdivide the chain edge zu by z_new.  Original vertices are never
-    adjacent in a subdivision, so z or u is new and its home names the chain."""
-    orig = home.get(z) or home.get(u)
-    ch = chains[orig] if orig else []
-    t = ch.index(z) if z in ch else -1
-    if 0 <= t < len(ch) - 1 and ch[t + 1] == u:
-        t += 1  # the chain runs z, u: z_new goes after z
-    elif not (t > 0 and ch[t - 1] == u):  # else it runs u, z: z_new goes before z
-        raise InternalInvariantError(f"edge {norm_edge(z, u)} is not in its chain")
-    ch.insert(t, z_new)
-    home[z_new] = orig
+def _certified_subdivision(
+    g: Graph, members: list[Path], n: int, kind: str, count_ok: bool, what: str
+) -> tuple[Graph, OddCover, dict[Edge, list[int]]]:
+    """The exit of both subdivision covers: H, the certified cover of H and
+    the chain map, all read off the members.
 
-
-def _graph_from_chains(chains: dict[Edge, list[int]], n: int) -> Graph:
-    edges = [
-        norm_edge(ch[t], ch[t + 1])
-        for ch in chains.values()
-        for t in range(len(ch) - 1)
-    ]
-    return Graph(n, edges)
+    H is the XOR of the members on n vertices.  The walks from each original
+    vertex through new vertices (ids >= g.n) of degree 2 must be exactly g's
+    edges and hold every new vertex once: then H subdivides g, and the walks
+    are its chains, in sorted edge order.
+    """
+    bad = f"{what}: the members do not odd-cover a subdivision"
+    try:
+        h = Graph(n, odd_edges(members, closed=kind == "cycle"))
+    except ValueError as exc:
+        raise InternalInvariantError(bad) from exc
+    adj = h.adjacency()
+    found: list[tuple[Edge, list[int]]] = []
+    read = bytearray(n)  # the new vertices of the walks so far
+    for u in range(g.n):
+        for x in adj[u]:
+            if x < u or read[x]:
+                continue  # the walk was read from its other end
+            chain = [u]
+            while x >= g.n and len(adj[x]) == 2:
+                read[x] = 1
+                chain.append(x)
+                a, b = adj[x]
+                x = b if a == chain[-2] else a
+            chain.append(x)
+            found.append(((u, x), chain))
+    chains = dict(sorted(found))
+    if len(chains) != len(found) or chains.keys() != g.edges or read.count(1) != n - g.n:
+        raise InternalInvariantError(bad)
+    return h, certified(OddCover(h, members, kind), count_ok, what), chains
 
 
 def topological_cover(
@@ -781,19 +750,15 @@ def topological_cover(
             "no subdivision meets the degree bound"
         )
     k = lower_bound(g)
-    if k == 0:
-        return g, OddCover(g, [], "path"), {}
+    members: list[Path] = []
+    n = g.n
     if k == 1:
-        paths, cycles = degree2_components(g.n, g.edges)
-        if len(paths) != 1 or cycles:
+        members, cycles = degree2_components(g.n, g.edges)
+        if len(members) != 1 or cycles:
             raise ValueError("graph is not a single path")
-        path = paths[0]
-        chains = {e: [e[0], e[1]] for e in sorted(g.edges)}
-        return g, OddCover(g, [path], "path"), chains
-    paths, chains, _, n_total = _reduced_topological_paths(g)
-    h = _graph_from_chains(chains, n_total)
-    cover = OddCover(h, paths, "path")
-    return h, certified(cover, cover.count == k, "topological cover"), chains
+    elif k >= 2:
+        members, n = _reduced_topological_paths(g, k)
+    return _certified_subdivision(g, members, n, "path", len(members) == k, "topological cover")
 
 
 # ---------------------------------------------------------------------------
@@ -940,16 +905,21 @@ def cycle_top_cover(
     if not g.is_even():
         raise ValueError("cycle covers need all degrees even")
     delta, _, _ = degree_profile(g)
+    members: list[Path] = []
+    n, what = g.n, "cycle cover of subdivision"
     if delta == 2:
-        _, cycles = degree2_components(g.n, g.edges)
-        if len(cycles) >= 2:
+        _, members = degree2_components(g.n, g.edges)
+        if len(members) >= 2:
             raise ValueError("union of two or more disjoint cycles is excluded")
-        chains = {e: [e[0], e[1]] for e in sorted(g.edges)}
-        return g, certified(OddCover(g, cycles, "cycle"), True, "single-cycle cover"), chains
-    if g.m == 0:
-        return g, OddCover(g, [], "cycle"), {}
+        what = "single-cycle cover"
+    elif g.m:
+        members, n = _closed_cycles(*_reduced_topological_paths(g, delta // 2))
+    return _certified_subdivision(g, members, n, "cycle", len(members) <= delta // 2, what)
 
-    reduced, chains, home, nxt = _reduced_topological_paths(g)
+
+def _closed_cycles(reduced: list[Path], nxt: int) -> tuple[list[Path], int]:
+    """Close reduced paths with no type I endpoints into cycles, subdividing
+    with new vertices from nxt on; returns the cycles and the vertex count."""
     # Live paths by id; a new path takes the next id, so ascending ids are
     # the order the paths were made.  ends[x] holds the ids of the live
     # paths ending at x, and the lazy heap `longs` the ids of paths on >= 3
@@ -995,11 +965,7 @@ def cycle_top_cover(
             if len(other) >= 3:
                 cycles_out.append(other)
         else:
-            side = _orient_start(drop(pu), u)
-            _apply_subdivision(chains, home, side[1], u, nxt)
-            add((nxt,) + side[1:])
+            add((nxt,) + _orient_start(drop(pu), u)[1:])
             add((nxt, u) + _orient_start(drop(pv), v))
             nxt += 1
-    h = _graph_from_chains(chains, nxt)
-    cover = OddCover(h, cycles_out, "cycle")
-    return h, certified(cover, cover.count <= delta // 2, "cycle cover of subdivision"), chains
+    return cycles_out, nxt

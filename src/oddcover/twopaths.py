@@ -357,6 +357,14 @@ def integrate_one_edge(
 # two-edge integration
 
 
+def _disjoint_edges(edges: Iterable[Edge]) -> list[Edge]:
+    """The edges, normalized; raises ValueError if two share a vertex."""
+    fs = [norm_edge(*f) for f in edges]
+    if len({v for f in fs for v in f}) != 2 * len(fs):
+        raise ValueError("edges share a vertex")
+    return fs
+
+
 def is_exceptional_k4(
     cycles: Iterable[Sequence[int]], f1: Edge, f2: Edge
 ) -> bool:
@@ -366,9 +374,7 @@ def is_exceptional_k4(
     endpoints in alternating (crossing) cyclic order, and at most one of the
     four demarcated arcs has an internal vertex.
     """
-    f1, f2 = norm_edge(*f1), norm_edge(*f2)
-    if set(f1) & set(f2):
-        raise ValueError("edges share a vertex")
+    f1, f2 = _disjoint_edges((f1, f2))
     return _k4_obstruction(_Layer.canonical(cycles), f1, f2) is not None
 
 
@@ -670,9 +676,7 @@ def _integrate_two(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
 
 def _two_edges(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
     """integrate_two_edges on a prepared layer."""
-    f1, f2 = norm_edge(*f1), norm_edge(*f2)
-    if set(f1) & set(f2):
-        raise ValueError("edges share a vertex")
+    f1, f2 = _disjoint_edges((f1, f2))
     res = _integrate_two(layer, f1, f2)
     if isinstance(res, ExceptionalCase):
         return res
@@ -699,7 +703,7 @@ def choose_integrable_pair(
     At most one of the three unordered pairs can be obstructed, so a fixed
     scan order always finds a working pair.
     """
-    fs = [norm_edge(*f) for f in edges]
+    fs = _disjoint_edges(edges)
     if len(fs) != 3:
         raise ValueError("exactly three candidate edges required")
     layer = _Layer.canonical(cycles)
@@ -720,14 +724,9 @@ def integrate_four_edges(
     Two edges are routed into each cycle set; the split is chosen so that
     neither pairing is obstructed (possible for any four disjoint edges).
     """
-    fs = [norm_edge(*f) for f in edges]
+    fs = _disjoint_edges(edges)
     if len(fs) != 4:
         raise ValueError("exactly four edges required")
-    seen: set[int] = set()
-    for f in fs:
-        if seen & set(f):
-            raise ValueError("edges are not pairwise disjoint")
-        seen |= set(f)
     la, lb = _Layer.canonical(cycles_a), _Layer.canonical(cycles_b)
 
     def ok(layer: _Layer, i: int, j: int) -> bool:

@@ -220,7 +220,9 @@ def _iso(g, branch):
 
 
 # Each public exit on a small input, with the name it fails under.  The
-# cycle_top rows reach its single-cycle and subdivision exits.
+# topological and cycle_top rows reach every subdivision exit: k = 0, k = 1
+# and reduced paths; a single cycle, no edges and closed cycles.  The last
+# row is the oracle's trivial exit (n < 2).
 EXITS = [
     ("additive-bound cover", lambda: cover_first_bound(K5)),
     ("matching integration", lambda: cover_eulerian_plus_matching(K5, [(0, 1)])),
@@ -235,6 +237,10 @@ EXITS = [
     ("cycle cover of subdivision", lambda: cycle_top_cover(K5)),
     ("oracle witness", lambda: exact_p2(complete(4))),
     ("oracle witness", lambda: exact_c2(K5)),
+    ("topological cover", lambda: topological_cover(Graph(3))),
+    ("topological cover", lambda: topological_cover(Graph(3, [(0, 1), (1, 2)]))),
+    ("cycle cover of subdivision", lambda: cycle_top_cover(Graph(4))),
+    ("oracle witness", lambda: exact_p2(Graph(1))),
 ]
 
 

@@ -109,6 +109,28 @@ def test_cli_cover_self_verifies(tmp_path):
     assert doc["bounds"]["lower"] == 2 and doc["bounds"]["upper"] == 2
 
 
+def test_cli_cover_makes_one_degree_pass(tmp_path, monkeypatch, capsys):
+    # both bounds of the cover witness come from a single degree pass
+    from oddcover import cli as climod
+    from oddcover import core
+
+    real, calls = core.degree_profile, []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "oddcover" and getattr(mod, "degree_profile", None) is real:
+            monkeypatch.setattr(mod, "degree_profile", counted)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n")
+    assert climod.main(["cover", str(gpath)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["valid"] and doc["bounds"]["upper"] == 4
+    assert len(calls) <= 1
+
+
 def test_cli_exact_two_triangles():
     text = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
     proc = run_cli("exact", "-", "--max-k", "4", stdin=text)

@@ -155,11 +155,8 @@ def test_reduction_validates_whole_system_a_constant_number_of_times(monkeypatch
 
 def seeded_index(g):
     """The endpoint index _reduced_topological_paths reduces for g."""
-    k = lower_bound(g)
-    chains, _, n_total = systems._subdivide3(g)
-    color = systems._color_tripled_edges(g, chains, k)
-    collections = systems._classes_to_collections(color, k, n_total)
-    return systems._EndpointIndex(PathSystem(collections, n_total))
+    collections = systems._seed_collections(g, lower_bound(g))
+    return systems._EndpointIndex(PathSystem(collections, g.n + 2 * g.m))
 
 
 def recount(idx):
@@ -344,35 +341,35 @@ def test_witness_bytes_pinned():
     }
 
 
-def test_every_subdivision_vertex_knows_its_home_edge(monkeypatch):
-    homes = []
-    real = systems._reduced_topological_paths
-
-    def keep(g):
-        out = real(g)
-        homes.append(out[2])
-        return out
-
-    monkeypatch.setattr(systems, "_reduced_topological_paths", keep)
+def test_every_subdivision_vertex_knows_its_home_edge():
+    # the returned chains run along H's edges, one per edge of g, and hold
+    # every new vertex of H exactly once
     top_graphs, cyc_graphs = pin_subdivision_graphs(rng_for("pin-systems"))
     for solve, graphs in ((topological_cover, top_graphs), (cycle_top_cover, cyc_graphs)):
         for g in graphs:
-            homes.clear()
             h, cover, chains = solve(g)
-            (home,) = homes
-            for e, ch in chains.items():
-                assert all(home[x] == e for x in ch[1:-1])
-            assert sorted(home) == list(range(g.n, h.n))
+            assert list(chains) == sorted(g.edges)
+            assert all((ch[0], ch[-1]) == e for e, ch in chains.items())
+            steps = {norm_edge(a, b) for ch in chains.values() for a, b in zip(ch, ch[1:])}
+            assert steps == h.edges
+            inner = sorted(x for ch in chains.values() for x in ch[1:-1])
+            assert inner == list(range(g.n, h.n))
 
 
-def test_apply_subdivision_rejects_a_pair_on_no_chain():
-    chains, home, nxt = systems._subdivide3(Graph(3, [(0, 1), (1, 2)]))
-    assert chains == {(0, 1): [0, 3, 4, 1], (1, 2): [1, 5, 6, 2]}
-    for z, u in ((0, 1), (3, 5), (3, 1), (9, 3)):
-        with pytest.raises(InternalInvariantError, match="not in its chain"):
-            systems._apply_subdivision(chains, home, z, u, nxt)
-    systems._apply_subdivision(chains, home, 4, 3, nxt)  # a chain edge, either way round
-    assert chains[(0, 1)] == [0, 3, nxt, 4, 1] and home[nxt] == (0, 1)
+def test_subdivision_exit_rejects_members_that_subdivide_nothing():
+    g = Graph(3, [(0, 1), (1, 2)])
+    h, cover, chains = systems._certified_subdivision(
+        g, [(0, 3, 4, 1, 5, 2)], 6, "path", True, "hand cover"
+    )
+    assert chains == {(0, 1): [0, 3, 4, 1], (1, 2): [1, 5, 2]} and h.n == 6
+    for members, n in (
+        ([(0, 3, 4, 1, 5, 2), (3, 6)], 7),  # new vertex 3 has degree 3
+        ([(0, 3, 2), (1, 4, 2)], 5),  # the chain from 0 ends at 2, not 1
+        ([(0, 3, 4, 1, 5, 2)], 7),  # new vertex 6 lies on no chain
+        ([(0, 3, 1)], 4),  # edge (1, 2) has no chain
+    ):
+        with pytest.raises(InternalInvariantError, match="^hand cover: .* subdivision$"):
+            systems._certified_subdivision(g, members, n, "path", True, "hand cover")
 
 
 _WINDMILL_CYCLE_TOP = """

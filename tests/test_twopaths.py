@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from oddcover.core import Graph, InternalInvariantError, norm_edge
-from oddcover.solver import iso_cover_general
+from oddcover.solver import cover_eulerian_plus_matching, iso_cover_general
 from oddcover.twopaths import (
     ExceptionalCase,
     ExceptionalEndpointError,
@@ -223,6 +223,18 @@ def test_choose_pair_random():
         fs = [norm_edge(pts[2 * i], pts[2 * i + 1]) for i in range(3)]
         pair, tp = choose_integrable_pair(cycles, fs)
         assert xor_members(tp) == cycle_edges_of(cycles) ^ set(pair)
+
+
+def test_kit_rejects_edges_that_share_a_vertex():
+    # one check serves every caller; here the first pair would integrate,
+    # but the third edge meets the second at 9
+    cycles = [(0, 1, 2, 3, 4, 5)]
+    with pytest.raises(ValueError, match="^edges share a vertex$"):
+        choose_integrable_pair(cycles, [(6, 7), (8, 9), (9, 10)])
+    with pytest.raises(ValueError, match="^edges share a vertex$"):
+        integrate_four_edges(cycles, [(11, 12, 13)], [(6, 7), (8, 9), (14, 15), (15, 16)])
+    with pytest.raises(ValueError, match="^edges share a vertex$"):
+        cover_eulerian_plus_matching(Graph(4), [(0, 1), (1, 2)])
 
 
 def test_four_edges_basic():
