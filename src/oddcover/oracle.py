@@ -218,13 +218,12 @@ def exact_p2(g: Graph, max_k: int | None = None) -> tuple[int, OddCover] | None:
 
 def exact_c2(g: Graph, max_k: int | None = None) -> tuple[int, OddCover] | None:
     """Minimum cycle odd-cover with witness; requires all degrees even."""
-    if not g.is_even():
+    delta, v_odd, _ = degree_profile(g)
+    if v_odd:
         raise ValueError("cycle odd-covers exist only for even-degree graphs")
     res = _solve(g, "cycle", max_k)
-    if res is not None:
-        delta, _, _ = degree_profile(g)
-        if res[0] < delta // 2:
-            raise InternalInvariantError("oracle beat the cycle lower bound")
+    if res is not None and res[0] < delta // 2:
+        raise InternalInvariantError("oracle beat the cycle lower bound")
     return res
 
 

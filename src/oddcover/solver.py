@@ -287,7 +287,8 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
     else by plain layer pairs (cost d instead of la(d)).  Returns the cover
     and which branch handled the residual.
     """
-    delta, v_odd, _ = degree_profile(g)
+    adj = g.adjacency()
+    delta, v_odd = _profile(adj)
     t = _integration_rounds(v_odd // 2)
     d = 2 * -(-delta // 2) - 2 * t
 
@@ -297,7 +298,6 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
             raise InternalInvariantError("direct or two-path case exceeded v_odd/2")
         return cover, "two-paths" if v_odd == 4 and delta <= 2 else "direct"
 
-    adj = g.adjacency()
     m = sorted(_odd_matching(adj))
     _xor_rows(adj, m)
     layers = list(_peel_layers(adj))
@@ -311,9 +311,9 @@ def iso_cover_general(g: Graph) -> tuple[OddCover, str]:
         # every maximum-degree vertex of g XOR M lies on every layer, so the
         # residual's maximum degree is 2 * len(tail) <= d; its linear
         # arboricity is at most len(tail) + 1 for n <= MAX_FOREST_N
-        la = exact_linear_arboricity(residual)
-        if la is not None and la[0] <= d:
-            isoc = iso_cover_from_forests(residual, la[1])
+        la, forests = exact_linear_arboricity(residual)
+        if la <= d:
+            isoc = iso_cover_from_forests(residual, forests)
             members += list(isoc.members)
             target = Graph(isoc.target.n, g.edges)
             branch = "linear-arboricity"

@@ -645,11 +645,12 @@ def _seed_collections(g: Graph, k: int) -> list[list[Path]]:
     and each stub and middle edge goes straight into its class.  At every
     original vertex of even degree the incident stubs are paired per color;
     the j-th odd vertex gets one stub of color j mod k and pairs for the
-    rest.  Every middle edge takes a color distinct from its first stub (and
-    from both stubs when k >= 3), so classes decompose into paths of length
-    at most two and monochromatic cycles are impossible.  Each pick is the
-    r-th colour of range(k) minus one or two colours, found by index
-    arithmetic in O(1).
+    rest.  Every middle edge takes a color distinct from its first stub, so
+    no class holds a cycle.  For k >= 3 it avoids both stubs and class paths
+    have at most two edges; at k = 2 it takes the second stub's colour when
+    the stubs differ, and a path can run middle, stub, vertex, stub, middle.
+    Each pick is the r-th colour of range(k) minus one or two colours, found
+    by index arithmetic in O(1).
     """
     n, edges = g.n, sorted(g.edges)
     # sorted edge order lists each vertex's stubs by ascending neighbour
@@ -744,18 +745,16 @@ def topological_cover(
     which the degree bound is unattainable topologically: a disjoint union
     of cycles plus at most one path.
     """
-    if is_exceptional_family(g):
+    k = lower_bound(g)
+    if k == 1 and is_exceptional_family(g):  # any other graph with k = 1 is a path
         raise ValueError(
             "graph is a disjoint union of cycles (plus at most one path); "
             "no subdivision meets the degree bound"
         )
-    k = lower_bound(g)
     members: list[Path] = []
     n = g.n
     if k == 1:
-        members, cycles = degree2_components(g.n, g.edges)
-        if len(members) != 1 or cycles:
-            raise ValueError("graph is not a single path")
+        members, _ = degree2_components(g.n, g.edges)
     elif k >= 2:
         members, n = _reduced_topological_paths(g, k)
     return _certified_subdivision(g, members, n, "path", len(members) == k, "topological cover")
@@ -795,20 +794,16 @@ def two_path_cover_la2(
 
     Because all degrees are even, every path endpoint is shared by the two
     forests: the system has no type I endpoints, so its reduction only joins
-    (an insert would add a vertex).
+    (an insert would add a vertex, which the exit through `certified` catches).
     """
     if not g.is_even():
         raise ValueError("two-forest compression needs all degrees even")
     if g.m == 0:
         raise ValueError("graph has no edges")
     comps = _check_forest_partition(g, [forest1, forest2])
-    sys, events = reduce_system(PathSystem(comps, g.n))
-    if events:
-        raise InternalInvariantError("two-forest compression subdivided an edge")
-    p, q = (coll[0] for coll in sys.collections)
-    if odd_edges((p, q)) != g.edges:
-        raise InternalInvariantError("two-forest compression failed self-check")
-    return TwoPaths(p, q)
+    sys, _ = reduce_system(PathSystem(comps, g.n))
+    cover = OddCover(g, [coll[0] for coll in sys.collections])
+    return TwoPaths(*certified(cover, True, "two-forest compression").members)
 
 
 def meet(state: PathSystem, u: int, v: int) -> PathSystem:
@@ -902,9 +897,9 @@ def cycle_top_cover(
     Unions of two or more disjoint cycles are rejected: for them delta/2 = 1
     but no subdivision is a single cycle.
     """
-    if not g.is_even():
+    delta, v_odd, _ = degree_profile(g)
+    if v_odd:
         raise ValueError("cycle covers need all degrees even")
-    delta, _, _ = degree_profile(g)
     members: list[Path] = []
     n, what = g.n, "cycle cover of subdivision"
     if delta == 2:

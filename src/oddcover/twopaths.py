@@ -21,8 +21,9 @@ Each public call indexes its canonical, sorted cycles once as a private
 vertices), and every construction reads where a vertex or an edge sits from
 it; a reduction that recurses on a rebuilt cycle set indexes that set in the
 order it built it.  One private routine, `_close_loose`, covers a layer plus
-two loose paths off it through stand-in edges; the two-cut-edges case here
-and the solver's two-loose-paths case both use it.  Likewise `_thread_to`
+two loose paths through stand-in edges; the two-cut-edges, parallel-chord
+and solver's two-loose-paths cases use it, never obstructed (their ends lie
+off every cycle, or make chords that do not cross).  Likewise `_thread_to`
 is the only threading of all cycles but one to a pinned common end, and
 `_plus_one_then` the only one-edge cover that runs on along a walk.
 
@@ -570,11 +571,7 @@ def _case_two_plus_two(
     arc2, arc2b = layer.arcs(b2, b1)
     p2_arc, q2_arc = (arc2, arc2b) if len(arc2) > 2 else (arc2b, arc2)
     cstar = tuple(p1_arc + p2_arc)  # a1..a2, f2 jump, b2..b1, f1 closes
-    fa, fb = norm_edge(a1, a2), norm_edge(b1, b2)
-    sub = _integrate_two(_Layer(rest + [cstar]), fa, fb)
-    if not isinstance(sub, TwoPaths):
-        raise InternalInvariantError("parallel-chord reduction hit the obstruction")
-    return splice_stand_ins(sub, [(fa, q1_arc), (fb, q2_arc)])
+    return _close_loose(_Layer(rest + [cstar]), [q1_arc, q2_arc])
 
 
 def _minus_two(layer: _Layer, f1: Edge, f2: Edge) -> TwoPaths:
@@ -599,11 +596,11 @@ def _minus_two(layer: _Layer, f1: Edge, f2: Edge) -> TwoPaths:
 
 
 def _close_loose(layer: _Layer, loose: Sequence[Sequence[int]]) -> TwoPaths:
-    """Two paths covering the layer plus two disjoint loose paths off it.
-
-    Each loose path is stood in for by the edge joining its ends; those ends
-    lie off every cycle, so the obstruction cannot occur.  The stand-ins are
-    then expanded back.  Unchecked: the caller checks what it builds.
+    """Two paths covering the layer plus two loose paths with interiors off
+    it, each stood in for by the edge joining its ends.  No caller meets the
+    obstruction: `_minus_two` and the solver put the ends off every cycle, and
+    `_case_two_plus_two` puts them a1 .. a2, b2 .. b1 along one cycle, so its
+    chords do not cross.  Unchecked: the caller checks what it builds.
     """
     fps = [norm_edge(w[0], w[-1]) for w in loose]
     sub = _integrate_two(layer, fps[0], fps[1])
@@ -675,12 +672,11 @@ def _integrate_two(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
 
 
 def _two_edges(layer: _Layer, f1: Edge, f2: Edge) -> IntegrationResult:
-    """integrate_two_edges on a prepared layer."""
-    f1, f2 = _disjoint_edges((f1, f2))
+    """integrate_two_edges on a prepared layer and normalized disjoint edges."""
     res = _integrate_two(layer, f1, f2)
-    if isinstance(res, ExceptionalCase):
-        return res
-    return _checked(layer, res.p, res.q, (f1, f2))
+    if isinstance(res, TwoPaths):
+        res = _checked(layer, res.p, res.q, (f1, f2))
+    return res
 
 
 def integrate_two_edges(
@@ -692,7 +688,7 @@ def integrate_two_edges(
     The two edges must be vertex-disjoint but may lie on, touch, or avoid
     the cycles in any combination.
     """
-    return _two_edges(_Layer.canonical(cycles), f1, f2)
+    return _two_edges(_Layer.canonical(cycles), *_disjoint_edges((f1, f2)))
 
 
 def choose_integrable_pair(

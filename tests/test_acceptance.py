@@ -278,6 +278,7 @@ def _brute_demarcation(cycles, f1, f2):
     return False
 
 
+@pytest.mark.slow
 def test_criterion_9_kit_exhaustive():
     """All (cycle set, two disjoint edges) configurations on at most 8
     vertices: the kit succeeds exactly off the obstruction, and the

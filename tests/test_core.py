@@ -27,6 +27,7 @@ from oddcover.systems import (
     cycle_top_cover,
     iso_cover_from_forests,
     topological_cover,
+    two_path_cover_la2,
 )
 from oddcover.twopaths import cover_cycles
 
@@ -211,6 +212,8 @@ def test_certified_needs_the_count_and_the_xor():
 
 K5 = complete(5)
 _FOREST_GRAPH, _, _FORESTS, _ = counterexample(3)
+_SQUARE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+_SQUARE_FORESTS = ([(0, 1), (2, 3)], [(1, 2), (0, 3)])
 
 
 def _iso(g, branch):
@@ -241,6 +244,7 @@ EXITS = [
     ("topological cover", lambda: topological_cover(Graph(3, [(0, 1), (1, 2)]))),
     ("cycle cover of subdivision", lambda: cycle_top_cover(Graph(4))),
     ("oracle witness", lambda: exact_p2(Graph(1))),
+    ("two-forest compression", lambda: two_path_cover_la2(_SQUARE, *_SQUARE_FORESTS)),
 ]
 
 
@@ -264,3 +268,30 @@ def test_every_public_exit_is_certified(monkeypatch, what, solve):
     with pytest.raises(InternalInvariantError, match=f"^{what} failed self-check$"):
         solve()
     assert len(calls) == last
+
+
+# Two triangles joined by an edge: k = 2 with two odd vertices, and no
+# residual for iso_cover_general (d = 2 >= 0).
+_BRIDGED = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize(
+    "solve, g",
+    [
+        (topological_cover, K5),
+        (topological_cover, _BRIDGED),
+        (cycle_top_cover, K5),
+        (exact_c2, K5),
+        (iso_cover_general, K5),
+        (iso_cover_general, _BRIDGED),
+    ],
+    ids=["top-K5", "top-bridged", "cycle_top-K5", "exact_c2-K5", "iso-K5", "iso-bridged"],
+)
+def test_covers_read_their_input_degrees_once(monkeypatch, solve, g):
+    # evenness, the bounds and the residual all come from one pass over g
+    passes = []
+    for name in ("degrees", "adjacency"):
+        real = getattr(Graph, name)
+        monkeypatch.setattr(Graph, name, lambda h, real=real: passes.append(h) or real(h))
+    solve(g)
+    assert sum(h is g for h in passes) <= 1

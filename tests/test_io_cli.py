@@ -110,25 +110,21 @@ def test_cli_cover_self_verifies(tmp_path):
 
 
 def test_cli_cover_makes_one_degree_pass(tmp_path, monkeypatch, capsys):
-    # both bounds of the cover witness come from a single degree pass
+    # the solver and both bounds of the witness share a single degree pass:
+    # top-cover reads its bound off the certified count, and iso-cover's
+    # solver reads degrees off its adjacency rows
     from oddcover import cli as climod
-    from oddcover import core
 
-    real, calls = core.degree_profile, []
-
-    def counted(g):
-        calls.append(g)
-        return real(g)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "oddcover" and getattr(mod, "degree_profile", None) is real:
-            monkeypatch.setattr(mod, "degree_profile", counted)
+    real, calls = Graph.degrees, []
+    monkeypatch.setattr(Graph, "degrees", lambda g: calls.append(g) or real(g))
     gpath = tmp_path / "g.txt"
     gpath.write_text("6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n")
-    assert climod.main(["cover", str(gpath)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["valid"] and doc["bounds"]["upper"] == 4
-    assert len(calls) <= 1
+    for verb, upper in (("cover", 4), ("top-cover", 2), ("iso-cover", 2)):
+        calls.clear()
+        assert climod.main([verb, str(gpath)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["valid"] and (doc["bounds"]["lower"], doc["bounds"]["upper"]) == (2, upper)
+        assert len(calls) <= 1, verb
 
 
 def test_cli_exact_two_triangles():

@@ -3,12 +3,16 @@
 Only correctness and counts are asserted, never wall time.
 """
 
+import pytest
+
 from oddcover.core import degree_profile, lower_bound, verify_cover
 from oddcover.families import eulerian_random, gnp
 from oddcover.solver import cycle_odd_cover, path_odd_cover
 from oddcover.systems import cycle_top_cover, iso_cover_from_forests, topological_cover
 
 from support import gnm, hamiltonian_forests, hamiltonian_union, run_with_deadline
+
+pytestmark = pytest.mark.slow
 
 
 def test_cycle_odd_cover_six_regular_20000():

@@ -356,6 +356,28 @@ def test_every_subdivision_vertex_knows_its_home_edge():
             assert inner == list(range(g.n, h.n))
 
 
+def test_seed_class_paths_are_longest_at_two_colours():
+    # From three colours on, every middle edge avoids both stub colours, so a
+    # class path has at most two edges.  At k = 2 a middle edge whose stubs
+    # differ takes the second stub's colour, and a class path can run middle,
+    # stub, original vertex, stub, middle: four edges.
+    rng = rng_for("seed-class-paths")
+    longest, seeded = {}, 0
+    for _ in range(200):
+        if rng.random() < 0.7:
+            g = gnp(rng.randrange(4, 25), rng.choice([0.1, 0.2, 0.35, 0.6]), rng.randrange(10**6))
+        else:
+            g = eulerian_random(rng.randrange(6, 16), seed=rng.randrange(10**6))
+        k = lower_bound(g)
+        if k < 2:
+            continue
+        seeded += 1
+        edges = max(len(p) - 1 for coll in systems._seed_collections(g, k) for p in coll)
+        longest[k] = max(longest.get(k, 0), edges)
+    assert seeded >= 150
+    assert longest == {2: 4, **{k: 2 for k in range(3, 11)}}
+
+
 def test_subdivision_exit_rejects_members_that_subdivide_nothing():
     g = Graph(3, [(0, 1), (1, 2)])
     h, cover, chains = systems._certified_subdivision(
